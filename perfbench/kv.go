@@ -200,8 +200,8 @@ type kvPhase struct {
 	// times.
 	sojourn [3]hist
 	windows [][3]hist
-	// call is start-to-end time of the store call, by the same classes.
-	call [3]hist
+	// getCall is start-to-end time of the store's Get calls.
+	getCall hist
 	// wakeLate is start-due of requests whose worker was asleep when they
 	// fell due; queued is start-due of those whose worker was busy.
 	wakeLate, queued hist
@@ -245,8 +245,9 @@ func (k *kvRig) phase(b *bench, rate float64, dur time.Duration, stream uint64, 
 			for _, h := range []*hist{&p.sojourn[c], &p.sojourn[allOps], &win[c], &win[allOps]} {
 				h.add(s.end - s.due)
 			}
-			p.call[c].add(s.end - s.start)
-			p.call[allOps].add(s.end - s.start)
+			if c == getsOnly {
+				p.getCall.add(s.end - s.start)
+			}
 			if s.slept {
 				p.wakeLate.add(s.start - s.due)
 			} else {
@@ -398,7 +399,7 @@ func runKV(b *bench) {
 	recoverS := rig.recover(b, 3)
 
 	b.putLoadgen(loaded)
-	b.put("kvstore.get_call_us_p50", loaded.call[getsOnly].quantile(0.5)/1e3, "us")
+	b.put("kvstore.get_call_us_p50", loaded.getCall.quantile(0.5)/1e3, "us")
 	b.put("kv.loaded_requests", float64(loaded.served), "count")
 	b.put("kv.get_p50_us", loaded.p50(getsOnly), "us")
 	b.put("kv.get_p99_us", loaded.p99(getsOnly), "us")
