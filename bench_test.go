@@ -149,21 +149,19 @@ func BenchmarkBudgetSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptive: the §2.4 future-work controller on a shifting
-// workload, static vs adaptive budgets.
+// BenchmarkAdaptive: the §2.4 future-work policy autotuner on the
+// drifting priority-queue workload, static vs tuned policies.
 func BenchmarkAdaptive(b *testing.B) {
-	var res []harness.Result
+	var rep *harness.AutotuneReport
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = harness.RunAdaptiveComparison(18, benchCfg())
+		rep, err = harness.RunAutotune(18, benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range res {
-		if r.Scenario == "hashtable/shifting" {
-			b.ReportMetric(r.Throughput, r.Engine+"_ops/Mcycle")
-		}
+	for _, v := range rep.Variants {
+		b.ReportMetric(v.Throughput, v.Name+"_ops/Mcycle")
 	}
 }
 

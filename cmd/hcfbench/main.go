@@ -106,9 +106,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("hcfbench", flag.ContinueOnError)
 	var (
 		list     = fs.Bool("list", false, "list available figures and exit")
-		adaptFlg = fs.Bool("adaptive", false, "run the policy-autotuner comparison on the drifting workload (§2.4 future work; same data as -fig autotune)")
-		realFlg  = fs.Bool("real", false, "run the figure's scenario on the real-concurrency backend (wall clock; meaningful on multicore hosts)")
-		realOps  = fs.Int("real-ops", 2000, "operations per thread in -real mode")
 		figID    = fs.String("fig", "", "figure id to reproduce, or 'all'")
 		horizon  = fs.Int64("horizon", 200_000, "virtual cycles per measurement")
 		seed     = fs.Uint64("seed", 1, "workload seed")
@@ -146,9 +143,6 @@ func run(args []string) error {
 			fmt.Fprintln(os.Stderr, "hcfbench: memprofile:", err)
 		}
 	}()
-	if *jsonFlg && *realFlg {
-		return fmt.Errorf("-json is not supported with -real")
-	}
 	if *engs != "" {
 		if err := harness.ValidateEngineNames(strings.Split(*engs, ",")); err != nil {
 			return err
@@ -167,35 +161,6 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	if *adaptFlg {
-		ts := []int{36}
-		if *threads != "" {
-			var err error
-			if ts, err = parseInts(*threads); err != nil {
-				return err
-			}
-		}
-		fmt.Println("== autotune (§2.4 future work): drifting workload, static vs autotuned policies")
-		for _, t := range ts {
-			results, err := harness.RunAdaptiveComparison(t, harness.Config{Horizon: *horizon, Seed: *seed, Parallel: *parallel})
-			if err != nil {
-				return err
-			}
-			switch {
-			case *jsonFlg:
-				out, err := harness.FormatJSONL(results)
-				if err != nil {
-					return err
-				}
-				fmt.Print(out)
-			case *csv:
-				fmt.Print(harness.FormatCSV(results))
-			default:
-				fmt.Print(harness.FormatThroughputTable(results))
-			}
-		}
-		return nil
-	}
 	if *figID == "" {
 		fs.Usage()
 		return fmt.Errorf("missing -fig (or -list)")
@@ -206,11 +171,11 @@ func run(args []string) error {
 	if *figID == "kv" {
 		return runKV(*threads, *kvDur, *jsonFlg, *outPath, *kvBase)
 	}
-	if *figID == "openloop" && !*realFlg {
+	if *figID == "openloop" {
 		return runOpenLoop(*threads, *engs, *rates, *horizon, *seed, *parallel,
 			*csv, *jsonFlg, *outPath, *olBase, *serveAt)
 	}
-	if *figID == "elastic" && !*realFlg {
+	if *figID == "elastic" {
 		// The elastic figure has its own (longer) default horizon: only
 		// forward -horizon when the user actually set it.
 		h := int64(0)
@@ -242,25 +207,6 @@ func run(args []string) error {
 		}
 		if *engs != "" {
 			figs[i].Engines = strings.Split(*engs, ",")
-		}
-		if *realFlg {
-			fmt.Printf("== %s on the real backend (wall clock, %d ops/thread)\n",
-				figs[i].ID, *realOps)
-			for _, t := range figs[i].Threads {
-				for _, e := range figs[i].Engines {
-					r, err := harness.RunPointReal(figs[i].Scenario, e, t, *realOps, cfg)
-					if err != nil {
-						return err
-					}
-					status := ""
-					if r.InvariantViolation != "" {
-						status = "  !! " + r.InvariantViolation
-					}
-					fmt.Printf("threads=%-3d %-8s %10.1f ops/ms (%v)%s\n",
-						t, e, r.Throughput, r.Elapsed.Round(time.Millisecond), status)
-				}
-			}
-			continue
 		}
 		results, err := harness.RunFigure(figs[i], cfg)
 		if err != nil {

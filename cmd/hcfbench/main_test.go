@@ -86,9 +86,3 @@ func TestRunJSONL(t *testing.T) {
 		}
 	}
 }
-
-func TestJSONRejectedWithReal(t *testing.T) {
-	if err := run([]string{"-fig", "stack", "-real", "-json"}); err == nil {
-		t.Error("-json with -real accepted")
-	}
-}

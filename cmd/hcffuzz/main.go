@@ -252,10 +252,10 @@ type fuzzScenario struct {
 	nextOp   func(r *rand.Rand) engine.Op
 	model    witness.Model
 	rank     func(op engine.Op) int
-	// shards/router describe the sharded variant (HCF-S); shards == 0
-	// means the scenario has no sharding plan.
+	// shards/ring (with key) describe the sharded variant (HCF-S);
+	// shards == 0 means the scenario has no sharding plan.
 	shards int
-	router shard.Router
+	ring   *route.Ring
 	// The elastic variant (HCF-E): maxShards == 0 means no elastic plan.
 	// reshard, when non-nil, is called from thread 0 before each of its
 	// operations so splits and merges land mid-schedule, racing the
@@ -356,12 +356,8 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 			model:  model,
 			rank:   insertsLast,
 			shards: shards,
-			router: func(op engine.Op) int {
-				if k, ok := hashtable.RouteKey(op); ok {
-					return ring.Owner(k)
-				}
-				return shard.CrossShard
-			},
+			key:    hashtable.RouteKey,
+			ring:   ring,
 		}, nil
 	case "elastic":
 		// The sharded workload over a LIVE topology: 4 provisioned tables
@@ -563,7 +559,8 @@ func fuzzOne(cfg fuzzCfg, engineName, scenario string, seed uint64) (string, err
 		}
 		se, err := shard.New(env, shard.Config{
 			Shards:   sc.shards,
-			Router:   sc.router,
+			Key:      sc.key,
+			Ring:     sc.ring,
 			Policies: sc.policies,
 		})
 		if err != nil {

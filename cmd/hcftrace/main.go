@@ -100,7 +100,8 @@ func run(args []string) error {
 	}
 
 	cfg := harness.Config{Horizon: *horizon, Seed: *seed}
-	res, col, err := harness.RunPointTraced(sc, *engine, *threads, cfg, *limit)
+	res, _, col, err := harness.RunPointWith(sc, *engine, *threads, cfg,
+		harness.PointOptions{Trace: true, TraceLimit: *limit})
 	if err != nil {
 		return err
 	}

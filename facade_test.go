@@ -38,18 +38,18 @@ func TestPublicAPIAdaptiveController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := hcf.NewAdaptive(fw, hcf.AdaptiveConfig{MinOpsPerEpoch: 16, LowPrivate: 0.95, HighPrivate: 0.99})
+	tun := hcf.NewTuner(fw, nil, nil, hcf.TunerConfig{MinOpsPerEpoch: 16, LowPrivate: 0.95, HighPrivate: 0.99})
 	counter := env.Alloc(1)
 	env.Run(func(th *hcf.Thread) {
 		for i := 0; i < 60; i++ {
 			fw.Execute(th, registerOp{addr: counter})
 			if th.ID() == 0 && i%10 == 9 {
-				ctl.Step()
+				tun.Step(th.Now())
 			}
 		}
 	})
-	if ctl.Steps == 0 {
-		t.Fatal("controller never stepped")
+	if tun.Steps == 0 {
+		t.Fatal("tuner never stepped")
 	}
 	if got := env.Boot().Load(counter); got != 8*60 {
 		t.Fatalf("counter = %d", got)

@@ -143,21 +143,17 @@ const (
 // New builds an HCF framework over env.
 func New(env Env, cfg Config) (*Framework, error) { return core.New(env, cfg) }
 
-// Sharded scaling layer: N independent frameworks over one Env with a
-// user-supplied operation router. Independent combiners run in parallel on
-// disjoint shards; operations spanning shards take a pessimistic path that
-// acquires all shard locks in canonical order (see internal/shard).
+// Sharded scaling layer: N independent frameworks over one Env, with
+// operations routed by key over a consistent-hash ring. Independent
+// combiners run in parallel on disjoint shards; operations spanning shards
+// take a pessimistic path that acquires all shard locks in canonical order
+// (see internal/shard).
 type (
 	// Sharded is N Frameworks behind one Engine.
 	Sharded = shard.Sharded
 	// ShardedConfig configures a Sharded engine.
 	ShardedConfig = shard.Config
-	// Router maps an operation to its shard (or CrossShard).
-	Router = shard.Router
 )
-
-// CrossShard is the Router return value for operations that span shards.
-const CrossShard = shard.CrossShard
 
 // NewSharded builds a sharded HCF engine over env.
 func NewSharded(env Env, cfg ShardedConfig) (*Sharded, error) { return shard.New(env, cfg) }
@@ -272,24 +268,8 @@ type (
 // dir. Take one KVHandle per goroutine with its Handle method.
 func NewKV(dir string, cfg KVConfig) (*KV, error) { return kvstore.Open(dir, cfg) }
 
-// Adaptive-tuning types (the paper's §2.4 future-work mechanism): an
-// AdaptiveController periodically re-tunes a Framework's per-class
-// speculation budgets from its observed phase-completion profile.
-type (
-	// AdaptiveController adjusts a Framework's budgets in epochs.
-	AdaptiveController = adaptive.Controller
-	// AdaptiveConfig tunes the controller's thresholds.
-	AdaptiveConfig = adaptive.Config
-)
-
-// NewAdaptive builds a budget controller for fw; call its Step method
-// periodically from one thread.
-func NewAdaptive(fw *Framework, cfg AdaptiveConfig) *AdaptiveController {
-	return adaptive.New(fw, cfg)
-}
-
-// Evidence-driven autotuning (closing the observability loop): a Tuner
-// subsumes the AdaptiveController by learning full per-class phase
+// Evidence-driven autotuning (the paper's §2.4 future-work mechanism,
+// closing the observability loop): a Tuner learns full per-class phase
 // policies — skipping TryPrivate for always-conflicting classes, promoting
 // conflict-free classes out of combining, reviving parked speculation via
 // scheduled probes, spreading classes across publication arrays and

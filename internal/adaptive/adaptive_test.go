@@ -48,7 +48,7 @@ func TestAdaptationShiftsBudgetsByConflictProfile(t *testing.T) {
 	const threads = 12
 	env := memsim.NewDet(memsim.DetConfig{Threads: threads})
 	fw := twoClassFramework(t, env)
-	ctl := New(fw, Config{MinOpsPerEpoch: 32, LowPrivate: 0.8, HighPrivate: 0.97})
+	tun := NewTuner(fw, nil, nil, TunerConfig{MinOpsPerEpoch: 32, LowPrivate: 0.8, HighPrivate: 0.97})
 	hot := env.Alloc(1)
 	cold := make([]memsim.Addr, threads)
 	for i := range cold {
@@ -59,12 +59,12 @@ func TestAdaptationShiftsBudgetsByConflictProfile(t *testing.T) {
 			fw.Execute(th, hotOp{addr: hot})
 			fw.Execute(th, coldOp{addr: cold[th.ID()]})
 			if th.ID() == 0 && i%50 == 49 {
-				ctl.Step()
+				tun.Step(th.Now())
 			}
 		}
 	})
-	if ctl.Steps == 0 {
-		t.Fatal("controller never stepped")
+	if tun.Steps == 0 {
+		t.Fatal("tuner never stepped")
 	}
 	hotP, _, hotC := fw.Trials(0)
 	coldP, _, _ := fw.Trials(1)
@@ -77,7 +77,7 @@ func TestAdaptationShiftsBudgetsByConflictProfile(t *testing.T) {
 	if coldP < 4 {
 		t.Errorf("cold class private budget shrank: %d", coldP)
 	}
-	snap := ctl.Snapshot()
+	snap := tun.Snapshot()
 	if len(snap.Classes) != 2 || snap.String() == "" {
 		t.Errorf("bad snapshot: %+v", snap)
 	}
@@ -88,7 +88,7 @@ func TestAdaptationPreservesExactlyOnce(t *testing.T) {
 	const threads, perThread = 8, 120
 	env := memsim.NewDet(memsim.DetConfig{Threads: threads})
 	fw := twoClassFramework(t, env)
-	ctl := New(fw, Config{MinOpsPerEpoch: 16})
+	tun := NewTuner(fw, nil, nil, TunerConfig{MinOpsPerEpoch: 16})
 	counter := env.Alloc(1)
 	results := make([][]uint64, threads)
 	env.Run(func(th *memsim.Thread) {
@@ -96,7 +96,7 @@ func TestAdaptationPreservesExactlyOnce(t *testing.T) {
 		for i := 0; i < perThread; i++ {
 			mine = append(mine, fw.Execute(th, hotOp{addr: counter}))
 			if th.ID() == 1 && i%20 == 19 {
-				ctl.Step()
+				tun.Step(th.Now())
 			}
 		}
 		results[th.ID()] = mine
@@ -116,8 +116,8 @@ func TestAdaptationPreservesExactlyOnce(t *testing.T) {
 func TestBudgetsNeverGoNegativeOrExplode(t *testing.T) {
 	env := memsim.NewDet(memsim.DetConfig{Threads: 4})
 	fw := twoClassFramework(t, env)
-	cfg := Config{MinOpsPerEpoch: 1, MaxPrivate: 5, MaxCombining: 5}
-	ctl := New(fw, cfg)
+	cfg := TunerConfig{MinOpsPerEpoch: 1, MaxPrivate: 5, MaxCombining: 5}
+	tun := NewTuner(fw, nil, nil, cfg)
 	hot := env.Alloc(1)
 	for round := 0; round < 30; round++ {
 		env.Run(func(th *memsim.Thread) {
@@ -125,7 +125,7 @@ func TestBudgetsNeverGoNegativeOrExplode(t *testing.T) {
 				fw.Execute(th, hotOp{addr: hot})
 			}
 		})
-		ctl.Step()
+		tun.Step(int64(round))
 		for class := 0; class < fw.NumClasses(); class++ {
 			p, v, c := fw.Trials(class)
 			if p < 0 || v < 0 || c < 0 {
@@ -138,118 +138,23 @@ func TestBudgetsNeverGoNegativeOrExplode(t *testing.T) {
 	}
 }
 
-func TestSetTrialsClampsNegatives(t *testing.T) {
-	env := memsim.NewDet(memsim.DetConfig{Threads: 1})
-	fw := twoClassFramework(t, env)
-	fw.SetTrials(0, -3, -1, -2)
-	p, v, c := fw.Trials(0)
-	if p != 0 || v != 0 || c != 0 {
-		t.Fatalf("negatives not clamped: %d %d %d", p, v, c)
-	}
-}
-
-func TestZeroBudgetClassStillCompletes(t *testing.T) {
-	// Adaptation can drive every speculative budget to zero; operations
-	// must still complete via the combining phases.
-	env := memsim.NewDet(memsim.DetConfig{Threads: 4})
-	fw := twoClassFramework(t, env)
-	fw.SetTrials(0, 0, 0, 0)
-	counter := env.Alloc(1)
-	env.Run(func(th *memsim.Thread) {
-		for i := 0; i < 30; i++ {
-			fw.Execute(th, hotOp{addr: counter})
-		}
-	})
-	if got := env.Boot().Load(counter); got != 120 {
-		t.Fatalf("counter = %d, want 120", got)
-	}
-	m := fw.Metrics()
-	if m.PhaseCompleted[core.PhaseTryPrivate] != 0 {
-		t.Fatal("zero private budget still completed privately")
-	}
-}
-
 func TestEpochRequiresMinimumSignal(t *testing.T) {
 	env := memsim.NewDet(memsim.DetConfig{Threads: 2})
 	fw := twoClassFramework(t, env)
-	ctl := New(fw, Config{MinOpsPerEpoch: 1000})
+	tun := NewTuner(fw, nil, nil, TunerConfig{MinOpsPerEpoch: 1000})
 	hot := env.Alloc(1)
 	env.Run(func(th *memsim.Thread) {
 		for i := 0; i < 20; i++ {
 			fw.Execute(th, hotOp{addr: hot})
 		}
 	})
-	ctl.Step()
+	tun.Step(0)
 	p, v, c := fw.Trials(0)
 	if p != 4 || v != 3 || c != 2 {
 		t.Fatalf("budgets changed without enough signal: %d %d %d", p, v, c)
 	}
-}
-
-// TestConcurrentSetTrialsRespectsClamps drives the controller from thread 0
-// while another thread keeps installing out-of-bounds budgets via the public
-// SetTrials knob, under schedule exploration so the user writes land in
-// different epochs on every seed. Whenever the controller adjusts after a
-// hostile write, the values it writes back must respect the configured
-// clamps — adjust's read-modify-write must not echo the user's 100/50 back
-// out, nor push past the caps from a value already above them.
-func TestConcurrentSetTrialsRespectsClamps(t *testing.T) {
-	// private=0 forces every completion through combining, so privFrac is 0
-	// and the controller's shrink path fires on the epoch after the hostile
-	// write — where the unclamped read-modify-write used to emit budgets
-	// below PrivateFloor and above MaxCombining.
-	const (
-		threads      = 6
-		hostileP     = 0
-		hostileV     = 1
-		hostileC     = 50
-		maxPrivate   = 5
-		maxCombining = 5
-		floor        = 2
-	)
-	for seed := uint64(0); seed < 12; seed++ {
-		env := memsim.NewDet(memsim.DetConfig{
-			Threads: threads,
-			Explore: memsim.ExploreConfig{Seed: seed, PreemptBudget: 32, JitterClass: 2},
-		})
-		fw := twoClassFramework(t, env)
-		ctl := New(fw, Config{
-			MinOpsPerEpoch: 16,
-			MaxPrivate:     maxPrivate,
-			MaxCombining:   maxCombining,
-			PrivateFloor:   floor,
-		})
-		hot := env.Alloc(1)
-		adjusted := 0
-		env.Run(func(th *memsim.Thread) {
-			for i := 0; i < 300; i++ {
-				fw.Execute(th, hotOp{addr: hot})
-				switch {
-				case th.ID() == 0 && i%25 == 24:
-					before := ctl.Steps
-					ctl.Step()
-					p, v, c := fw.Trials(0)
-					if p == hostileP && v == hostileV && c == hostileC {
-						// The controller skipped this class (not enough
-						// signal, or no adjustment direction): the user's
-						// values must survive untouched, which they did.
-						continue
-					}
-					if before != ctl.Steps {
-						adjusted++
-					}
-					if p > maxPrivate || p < floor || c > maxCombining || v < 0 {
-						t.Fatalf("seed %d: budgets violate clamps after Step: private=%d visible=%d combining=%d",
-							seed, p, v, c)
-					}
-				case th.ID() == 1 && i%40 == 10:
-					fw.SetTrials(0, hostileP, hostileV, hostileC)
-				}
-			}
-		})
-		if adjusted == 0 {
-			t.Fatalf("seed %d: controller never adjusted; test exercised nothing", seed)
-		}
+	if n := tun.Journal().Len(); n != 0 {
+		t.Fatalf("journaled %d decisions without enough signal", n)
 	}
 }
 

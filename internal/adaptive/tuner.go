@@ -158,13 +158,12 @@ type classState struct {
 // spreading combining classes over spare publication arrays.
 //
 // Both evidence sources are optional: with only the framework's phase
-// breakdown the tuner degrades to budget shifting (the Controller's
-// ability), each extra source enabling the richer rules. Every change is
+// breakdown the tuner degrades to budget shifting, each extra source
+// enabling the richer rules. Every change is
 // recorded in the decision Journal together with the evidence that
 // triggered it.
 //
-// Like the Controller, the tuner only ever adjusts performance knobs, so
-// tuning is safe while operations are in flight. Call Step periodically
+// The tuner only ever adjusts performance knobs, so tuning is safe while operations are in flight. Call Step periodically
 // from a single thread; concurrent Steps are not supported (journal
 // readers need no coordination).
 type Tuner struct {
@@ -452,7 +451,7 @@ func (t *Tuner) decide(class int, ev *Evidence) string {
 // apply executes rule for class and journals the change. Budgets are
 // re-read at apply time and every write is clamped into the tuner's
 // bounds, so a concurrent user SetTrials is never echoed back outside
-// them (the Controller.adjust contract).
+// them.
 func (t *Tuner) apply(class int, rule string, ev *Evidence, now int64) {
 	old := t.fw.PolicyState(class)
 	pol := old

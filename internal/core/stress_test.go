@@ -173,6 +173,41 @@ func TestDynamicBudgetChangesMidRun(t *testing.T) {
 	}
 }
 
+// TestSetTrialsClampsNegatives pins that SetTrials clamps negative
+// budgets to zero.
+func TestSetTrialsClampsNegatives(t *testing.T) {
+	env := memsim.NewDet(memsim.DetConfig{Threads: 1})
+	fw := newFW(t, env, Config{Policies: []Policy{defaultPolicy()}})
+	fw.SetTrials(0, -3, -1, -2)
+	p, v, c := fw.Trials(0)
+	if p != 0 || v != 0 || c != 0 {
+		t.Fatalf("negatives not clamped: %d %d %d", p, v, c)
+	}
+}
+
+// TestZeroBudgetClassStillCompletes drives every speculative budget to
+// zero, as a tuner may; operations must still complete via the combining
+// phases.
+func TestZeroBudgetClassStillCompletes(t *testing.T) {
+	env := memsim.NewDet(memsim.DetConfig{Threads: 4})
+	fw := newFW(t, env, Config{Policies: []Policy{{
+		Name: "inc", TryPrivateTrials: 4, TryVisibleTrials: 3, TryCombiningTrials: 2,
+	}}})
+	fw.SetTrials(0, 0, 0, 0)
+	counter := env.Alloc(1)
+	env.Run(func(th *memsim.Thread) {
+		for i := 0; i < 30; i++ {
+			fw.Execute(th, incOp{addr: counter})
+		}
+	})
+	if got := env.Boot().Load(counter); got != 120 {
+		t.Fatalf("counter = %d, want 120", got)
+	}
+	if m := fw.Metrics(); m.PhaseCompleted[PhaseTryPrivate] != 0 {
+		t.Fatal("zero private budget still completed privately")
+	}
+}
+
 // TestRealBackendHighContentionStress runs the full protocol under real
 // goroutine concurrency with GOMAXPROCS forced up, for the race detector.
 func TestRealBackendHighContentionStress(t *testing.T) {

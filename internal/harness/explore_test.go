@@ -7,29 +7,6 @@ import (
 	"hcf/internal/memsim"
 )
 
-// TestExploredZeroConfigMatchesRunPoint pins that RunPointExplored with a
-// zero ExploreConfig IS RunPoint: same environment construction, same
-// scheduler fast path, bit-identical Result. The golden JSONL fixtures
-// (perf_test.go) pin the same property against recordings made before the
-// exploration layer existed.
-func TestExploredZeroConfigMatchesRunPoint(t *testing.T) {
-	sc := HashTableScenario(40, 256)
-	cfg := Config{Horizon: 20_000, Seed: 9}
-	for _, name := range EngineNames {
-		base, err := RunPoint(sc, name, 4, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zero, err := RunPointExplored(sc, name, 4, cfg, memsim.ExploreConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, zero) {
-			t.Errorf("%s: zero ExploreConfig diverged from RunPoint:\n%+v\nvs\n%+v", name, base, zero)
-		}
-	}
-}
-
 // TestExploredRunDeterministicPerSeed pins the replay guarantee at the
 // harness level: the same (config, exploration seed) must reproduce the
 // full Result — ops, cycles, metrics, phase breakdowns — exactly.
@@ -38,11 +15,11 @@ func TestExploredRunDeterministicPerSeed(t *testing.T) {
 	cfg := Config{Horizon: 20_000, Seed: 9}
 	ex := memsim.ExploreConfig{Seed: 31, PreemptBudget: 48, JitterClass: 2}
 	for _, name := range []string{"FC", "HCF"} {
-		a, err := RunPointExplored(sc, name, 4, cfg, ex)
+		a, _, _, err := RunPointWith(sc, name, 4, cfg, PointOptions{Explore: ex})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunPointExplored(sc, name, 4, cfg, ex)
+		b, _, _, err := RunPointWith(sc, name, 4, cfg, PointOptions{Explore: ex})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +43,7 @@ func TestExploredRunPerturbsAndStaysSound(t *testing.T) {
 	perturbed := false
 	for seed := uint64(0); seed < 6; seed++ {
 		ex := memsim.ExploreConfig{Seed: seed, PreemptBudget: 48, JitterClass: 3}
-		r, err := RunPointExplored(sc, "HCF", 4, cfg, ex)
+		r, _, _, err := RunPointWith(sc, "HCF", 4, cfg, PointOptions{Explore: ex})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,10 @@ import (
 	"hcf/internal/engines"
 	"hcf/internal/htm"
 	"hcf/internal/memsim"
+	"hcf/internal/metrics"
 	"hcf/internal/route"
 	"hcf/internal/shard"
+	"hcf/internal/trace"
 )
 
 // EngineNames lists all engines in the paper's presentation order.
@@ -92,7 +94,7 @@ type Instance struct {
 	Check func(ctx memsim.Ctx) string
 	// Sharding, when non-nil, lets the scenario run under the sharded HCF
 	// engine ("HCF-S"): the structure is partitioned into Shards pieces and
-	// Router maps each operation to its piece (or shard.CrossShard).
+	// keyed operations route to their piece over a consistent-hash ring.
 	Sharding *Sharding
 	// Elastic, when non-nil, lets the scenario run under the elastic
 	// HCF engine ("HCF-E"): a consistent-hash ring routes keyed
@@ -100,15 +102,11 @@ type Instance struct {
 	Elastic *ElasticPlan
 }
 
-// Sharding is a scenario's plan for the sharded HCF engine. Routing is
-// either a Router closure or a Key extractor over a consistent-hash
-// ring (exactly one of the two; see shard.Config).
+// Sharding is a scenario's plan for the sharded HCF engine: a Key
+// extractor over a consistent-hash ring (see shard.Config).
 type Sharding struct {
 	// Shards is the number of per-shard frameworks.
 	Shards int
-	// Router maps operations to shards; see shard.Router. Mutually
-	// exclusive with Key.
-	Router shard.Router
 	// Key extracts the routing key for ring routing; see shard.KeyFunc.
 	Key shard.KeyFunc
 	// Ring overrides the topology used with Key (nil = uniform).
@@ -224,7 +222,6 @@ func BuildEngine(name string, env memsim.Env, inst Instance, cfg Config) (engine
 		}
 		return shard.New(env, shard.Config{
 			Shards:            inst.Sharding.Shards,
-			Router:            inst.Sharding.Router,
 			Key:               inst.Sharding.Key,
 			Ring:              inst.Sharding.Ring,
 			Policies:          inst.Policies,
@@ -255,40 +252,92 @@ func BuildEngine(name string, env memsim.Env, inst Instance, cfg Config) (engine
 // RunPoint measures one (scenario, engine, threads) configuration in a
 // fresh deterministic environment.
 func RunPoint(sc Scenario, engineName string, threads int, cfg Config) (Result, error) {
-	return RunPointExplored(sc, engineName, threads, cfg, memsim.ExploreConfig{})
+	res, _, _, err := RunPointWith(sc, engineName, threads, cfg, PointOptions{})
+	return res, err
 }
 
-// RunPointExplored is RunPoint under adversarial schedule exploration: the
-// environment perturbs the min-clock schedule per ex (randomized thread
-// priorities plus bounded forced preemptions; see memsim.ExploreConfig).
-// A zero ex is exactly RunPoint — the scheduler takes its unexplored fast
-// path, and results are bit-identical to the golden fixtures (pinned by
-// TestExploredZeroConfigMatchesRunPoint and the Golden tests). A non-zero
-// ex measures a deliberately unfair schedule: use it to validate invariants
-// under hostile interleavings, not to compare throughput.
-func RunPointExplored(sc Scenario, engineName string, threads int, cfg Config, ex memsim.ExploreConfig) (Result, error) {
+// PointOptions selects what RunPointWith adds to a RunPoint measurement.
+// The zero value is RunPoint.
+type PointOptions struct {
+	// Explore perturbs the min-clock schedule (randomized thread priorities
+	// plus bounded forced preemptions; see memsim.ExploreConfig). A zero
+	// Explore keeps the scheduler's unexplored fast path, so results stay
+	// bit-identical to the golden fixtures. A non-zero Explore measures a
+	// deliberately unfair schedule: use it to validate invariants under
+	// hostile interleavings, not to compare throughput.
+	Explore memsim.ExploreConfig
+	// Metrics wires in a metrics recorder and samples every counter each
+	// Interval virtual cycles (thread 0 drives the sampler).
+	Metrics  bool
+	Interval int64
+	// Trace attaches a lifecycle-trace collector. TraceLimit > 0 makes it
+	// a bounded flight recorder (that many most recent events per thread);
+	// 0 retains every event.
+	Trace      bool
+	TraceLimit int
+}
+
+// phaseBreakdowner is implemented by the HCF engines (core.Framework and
+// the sharded variants).
+type phaseBreakdowner interface {
+	PhaseBreakdown() [][core.NumPhases]uint64
+}
+
+// RunPointWith is RunPoint with the instrumentation opts selects; it is
+// the one closed-loop point measurement in the harness. The metrics report
+// is nil unless opts.Metrics is set (it carries trace health when
+// opts.Trace is set too); the collector is nil unless opts.Trace is set.
+//
+// Recording and tracing charge no simulated cycles, so with a zero
+// opts.Explore the Result is bit-identical to RunPoint's for the same
+// configuration, and the report and event stream are themselves
+// bit-identical across same-seed runs.
+func RunPointWith(sc Scenario, engineName string, threads int, cfg Config, opts PointOptions) (Result, *metrics.Report, *trace.Collector, error) {
 	cfg.normalize()
 	env := memsim.NewDet(memsim.DetConfig{
 		Threads:      threads,
 		Cost:         cfg.Cost,
 		CapacityHint: cfg.CapacityHint,
-		Explore:      ex,
+		Explore:      opts.Explore,
 	})
 	inst := sc.Setup(env, cfg.Seed)
 	eng, err := BuildEngine(engineName, env, inst, cfg)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, nil, err
+	}
+	var rec *metrics.Recorder
+	if opts.Metrics {
+		if rec, err = Instrument(eng, &inst, threads); err != nil {
+			return Result{}, nil, nil, err
+		}
+	}
+	var col *trace.Collector
+	if opts.Trace {
+		if col, err = InstrumentTrace(eng, opts.TraceLimit); err != nil {
+			return Result{}, nil, nil, err
+		}
 	}
 	env.ResetStats() // exclude prefill from measurements
 	eng.ResetMetrics()
+	var sampler *metrics.Sampler
+	if rec != nil {
+		sampler = metrics.NewSampler(rec, opts.Interval)
+	}
 	opWork := env.Cost().OpWork // per-op application logic outside the DS
 	opsByThread := make([]uint64, threads)
 	env.Run(func(th *memsim.Thread) {
 		rng := rand.New(rand.NewPCG(cfg.Seed^0x9E3779B9, uint64(th.ID())+1))
+		var sample *metrics.Sampler
+		if th.ID() == 0 {
+			sample = sampler
+		}
 		for th.Now() < cfg.Horizon {
 			th.Work(opWork)
 			eng.Execute(th, inst.NextOp(rng))
 			opsByThread[th.ID()]++
+			if sample != nil {
+				sample.MaybeSample(th.Now())
+			}
 		}
 	})
 	res := Result{
@@ -307,15 +356,25 @@ func RunPointExplored(sc Scenario, engineName string, threads int, cfg Config, e
 	if res.Cycles > 0 {
 		res.Throughput = float64(res.Ops) * 1e6 / float64(res.Cycles)
 	}
-	if hcf, ok := eng.(interface {
-		PhaseBreakdown() [][core.NumPhases]uint64
-	}); ok {
+	if hcf, ok := eng.(phaseBreakdowner); ok {
 		res.PhaseByClass = hcf.PhaseBreakdown()
 	}
 	if inst.Check != nil {
 		res.InvariantViolation = inst.Check(env.Boot())
 	}
-	return res, nil
+	if sampler == nil {
+		return res, nil, col, nil
+	}
+	sampler.Flush(res.Cycles)
+	report := metrics.BuildReport(rec, sampler, sc.Name, engineName, threads)
+	if col != nil {
+		report.Trace = &metrics.TraceHealth{
+			Starts:   col.Starts(),
+			Retained: uint64(col.Retained()),
+			Dropped:  col.Dropped(),
+		}
+	}
+	return res, &report, col, nil
 }
 
 // RunSweep measures every engine at every thread count. Points are measured

@@ -248,8 +248,16 @@ func TestShapeHCFBeatsLockUnderContention(t *testing.T) {
 	}
 }
 
-func TestRunAdaptiveComparison(t *testing.T) {
-	res, err := RunAdaptiveComparison(12, Config{Horizon: 120_000, Seed: 5})
+// TestAutotuneFigureRows checks the rows -fig autotune reports: the
+// static grid, the tuned run and the oracle, each over the full horizon
+// and the post-drift region.
+func TestAutotuneFigureRows(t *testing.T) {
+	fig, err := FigureByID("autotune")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig.Threads = []int{12}
+	res, err := RunFigure(fig, Config{Horizon: 120_000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,21 +281,6 @@ func TestRunAdaptiveComparison(t *testing.T) {
 	}
 	if !tuned {
 		t.Fatal("no HCF-tuned row in the comparison")
-	}
-}
-
-func TestRunPointRealSmoke(t *testing.T) {
-	for _, name := range []string{"Lock", "TLE", "HCF"} {
-		r, err := RunPointReal(HashTableScenario(40, 128), name, 4, 50, Config{Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Ops != 200 || r.Throughput <= 0 {
-			t.Fatalf("%s: %+v", name, r)
-		}
-		if r.InvariantViolation != "" {
-			t.Fatalf("%s: %s", name, r.InvariantViolation)
-		}
 	}
 }
 

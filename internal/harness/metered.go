@@ -2,12 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"math/rand/v2"
-	"time"
 
+	"hcf/internal/core"
 	"hcf/internal/engine"
 	"hcf/internal/htm"
-	"hcf/internal/memsim"
 	"hcf/internal/metrics"
 	"hcf/internal/shard"
 	"hcf/internal/trace"
@@ -41,14 +39,13 @@ func classNames(inst *Instance) []string {
 }
 
 // Instrument dimensions a metrics recorder for (eng, inst) and installs it.
-// unit should be "cycles" on the deterministic backend and "ns" on the real
-// backend. It fails only for engines that do not implement
-// engine.MeteredEngine (all six in this repository do).
+// Latencies are in virtual cycles. It fails only for engines that do not
+// implement engine.MeteredEngine (all six in this repository do).
 //
 // For the sharded engine the recorder is dimensioned with one group per
 // shard plus "cross", and each shard gets its own group view, so reports
 // break out per-shard throughput and aborts instead of blending shards.
-func Instrument(eng engine.Engine, inst *Instance, threads int, unit string) (*metrics.Recorder, error) {
+func Instrument(eng engine.Engine, inst *Instance, threads int) (*metrics.Recorder, error) {
 	met, ok := eng.(engine.MeteredEngine)
 	if !ok {
 		return nil, fmt.Errorf("harness: engine %s does not support metrics", eng.Name())
@@ -58,7 +55,7 @@ func Instrument(eng engine.Engine, inst *Instance, threads int, unit string) (*m
 		Classes:  classNames(inst),
 		Paths:    met.CompletionPaths(),
 		Outcomes: outcomeNames(),
-		TimeUnit: unit,
+		TimeUnit: "cycles",
 	}
 	sh, sharded := eng.(*shard.Sharded)
 	if sharded {
@@ -85,188 +82,17 @@ func Instrument(eng engine.Engine, inst *Instance, threads int, unit string) (*m
 	return rec, nil
 }
 
-// RunPointMeteredTraced is RunPointMetered with a bounded flight recorder
-// attached as well (traceLimit events per thread; 0 disables tracing and
-// returns a nil collector). The report carries trace health; hot-line and
-// timeline snapshots can be taken from the collector after the run.
-func RunPointMeteredTraced(sc Scenario, engineName string, threads int, cfg Config, interval int64, traceLimit int) (Result, *metrics.Report, *trace.Collector, error) {
-	cfg.normalize()
-	env := memsim.NewDet(memsim.DetConfig{Threads: threads, Cost: cfg.Cost, CapacityHint: cfg.CapacityHint})
-	inst := sc.Setup(env, cfg.Seed)
-	eng, err := BuildEngine(engineName, env, inst, cfg)
-	if err != nil {
-		return Result{}, nil, nil, err
+// InstrumentTrace installs a lifecycle-trace collector on eng. limit > 0
+// turns the collector into a bounded flight recorder (limit most recent
+// events per thread); limit == 0 retains everything. It fails only for
+// engines that do not implement core.TracedEngine (all six in this
+// repository do).
+func InstrumentTrace(eng engine.Engine, limit int) (*trace.Collector, error) {
+	te, ok := eng.(core.TracedEngine)
+	if !ok {
+		return nil, fmt.Errorf("harness: engine %s does not support tracing", eng.Name())
 	}
-	rec, err := Instrument(eng, &inst, threads, "cycles")
-	if err != nil {
-		return Result{}, nil, nil, err
-	}
-	var col *trace.Collector
-	if traceLimit > 0 {
-		if col, err = InstrumentTrace(eng, traceLimit); err != nil {
-			return Result{}, nil, nil, err
-		}
-	}
-	env.ResetStats()
-	eng.ResetMetrics()
-	sampler := metrics.NewSampler(rec, interval)
-	opWork := env.Cost().OpWork
-	opsByThread := make([]uint64, threads)
-	env.Run(func(th *memsim.Thread) {
-		rng := rand.New(rand.NewPCG(cfg.Seed^0x9E3779B9, uint64(th.ID())+1))
-		for th.Now() < cfg.Horizon {
-			th.Work(opWork)
-			eng.Execute(th, inst.NextOp(rng))
-			opsByThread[th.ID()]++
-			if th.ID() == 0 {
-				sampler.MaybeSample(th.Now())
-			}
-		}
-	})
-	res := Result{
-		Scenario: sc.Name,
-		Engine:   engineName,
-		Threads:  threads,
-		Metrics:  eng.Metrics(),
-	}
-	for t := 0; t < threads; t++ {
-		res.Ops += opsByThread[t]
-		if now := env.Now(t); now > res.Cycles {
-			res.Cycles = now
-		}
-		res.Mem.Merge(env.Stats(t))
-	}
-	if res.Cycles > 0 {
-		res.Throughput = float64(res.Ops) * 1e6 / float64(res.Cycles)
-	}
-	if hcf, ok := eng.(phaseBreakdowner); ok {
-		res.PhaseByClass = hcf.PhaseBreakdown()
-	}
-	if inst.Check != nil {
-		res.InvariantViolation = inst.Check(env.Boot())
-	}
-	sampler.Flush(res.Cycles)
-	report := metrics.BuildReport(rec, sampler, sc.Name, engineName, threads)
-	if col != nil {
-		report.Trace = &metrics.TraceHealth{
-			Starts:   col.Starts(),
-			Retained: uint64(col.Retained()),
-			Dropped:  col.Dropped(),
-		}
-	}
-	return res, &report, col, nil
-}
-
-// RunPointMetered is RunPoint with the metrics subsystem wired in: it
-// instruments the engine with a recorder, samples all counters every
-// `interval` virtual cycles (thread 0 drives the sampler), and returns the
-// usual Result plus the full metrics report (latency percentiles per
-// operation class × completion path, transaction-outcome durations, lock
-// hold times, and the per-interval time series).
-//
-// Recording charges no simulated cycles, so Result is bit-identical to the
-// uninstrumented RunPoint for the same configuration.
-func RunPointMetered(sc Scenario, engineName string, threads int, cfg Config, interval int64) (Result, *metrics.Report, error) {
-	cfg.normalize()
-	env := memsim.NewDet(memsim.DetConfig{Threads: threads, Cost: cfg.Cost, CapacityHint: cfg.CapacityHint})
-	inst := sc.Setup(env, cfg.Seed)
-	eng, err := BuildEngine(engineName, env, inst, cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	rec, err := Instrument(eng, &inst, threads, "cycles")
-	if err != nil {
-		return Result{}, nil, err
-	}
-	env.ResetStats()
-	eng.ResetMetrics()
-	sampler := metrics.NewSampler(rec, interval)
-	opWork := env.Cost().OpWork
-	opsByThread := make([]uint64, threads)
-	env.Run(func(th *memsim.Thread) {
-		rng := rand.New(rand.NewPCG(cfg.Seed^0x9E3779B9, uint64(th.ID())+1))
-		for th.Now() < cfg.Horizon {
-			th.Work(opWork)
-			eng.Execute(th, inst.NextOp(rng))
-			opsByThread[th.ID()]++
-			if th.ID() == 0 {
-				sampler.MaybeSample(th.Now())
-			}
-		}
-	})
-	res := Result{
-		Scenario: sc.Name,
-		Engine:   engineName,
-		Threads:  threads,
-		Metrics:  eng.Metrics(),
-	}
-	for t := 0; t < threads; t++ {
-		res.Ops += opsByThread[t]
-		if now := env.Now(t); now > res.Cycles {
-			res.Cycles = now
-		}
-		res.Mem.Merge(env.Stats(t))
-	}
-	if res.Cycles > 0 {
-		res.Throughput = float64(res.Ops) * 1e6 / float64(res.Cycles)
-	}
-	if hcf, ok := eng.(phaseBreakdowner); ok {
-		res.PhaseByClass = hcf.PhaseBreakdown()
-	}
-	if inst.Check != nil {
-		res.InvariantViolation = inst.Check(env.Boot())
-	}
-	sampler.Flush(res.Cycles)
-	report := metrics.BuildReport(rec, sampler, sc.Name, engineName, threads)
-	return res, &report, nil
-}
-
-// phaseBreakdowner is implemented by HCF frameworks.
-type phaseBreakdowner interface {
-	PhaseBreakdown() [][4]uint64
-}
-
-// RunPointRealMetered is RunPointReal with the metrics subsystem wired in.
-// Latencies and intervals are measured in wall nanoseconds; thread 0
-// drives the sampler, so `interval` is wall nanoseconds too.
-func RunPointRealMetered(sc Scenario, engineName string, threads, opsPerThread int, cfg Config, interval int64) (RealResult, *metrics.Report, error) {
-	cfg.normalize()
-	env := memsim.NewReal(memsim.RealConfig{Threads: threads})
-	inst := sc.Setup(env, cfg.Seed)
-	eng, err := BuildEngine(engineName, env, inst, cfg)
-	if err != nil {
-		return RealResult{}, nil, err
-	}
-	rec, err := Instrument(eng, &inst, threads, "ns")
-	if err != nil {
-		return RealResult{}, nil, err
-	}
-	sampler := metrics.NewSampler(rec, interval)
-	start := time.Now()
-	env.Run(func(th *memsim.Thread) {
-		rng := rand.New(rand.NewPCG(cfg.Seed^0xFEED, uint64(th.ID())+1))
-		for i := 0; i < opsPerThread; i++ {
-			eng.Execute(th, inst.NextOp(rng))
-			if th.ID() == 0 {
-				sampler.MaybeSample(th.Now())
-			}
-		}
-	})
-	elapsed := time.Since(start)
-	res := RealResult{
-		Scenario: sc.Name,
-		Engine:   engineName,
-		Threads:  threads,
-		Ops:      uint64(threads * opsPerThread),
-		Elapsed:  elapsed,
-	}
-	if ms := elapsed.Seconds() * 1000; ms > 0 {
-		res.Throughput = float64(res.Ops) / ms
-	}
-	if inst.Check != nil {
-		res.InvariantViolation = inst.Check(env.Boot())
-	}
-	sampler.Flush(elapsed.Nanoseconds())
-	report := metrics.BuildReport(rec, sampler, sc.Name, engineName, threads)
-	return res, &report, nil
+	col := &trace.Collector{Limit: limit}
+	te.SetTracer(col)
+	return col, nil
 }

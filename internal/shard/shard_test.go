@@ -15,30 +15,15 @@ import (
 
 func policies() []core.Policy { return hashtable.Policies() }
 
-func keyRouter(shards int) Router {
-	return func(op engine.Op) int {
-		switch o := op.(type) {
-		case hashtable.FindOp:
-			return int(o.Key % uint64(shards))
-		case hashtable.InsertOp:
-			return int(o.Key % uint64(shards))
-		case hashtable.RemoveOp:
-			return int(o.Key % uint64(shards))
-		default:
-			return CrossShard
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	env := memsim.NewDet(memsim.DetConfig{Threads: 2})
-	if _, err := New(env, Config{Shards: 0, Router: keyRouter(1), Policies: policies()}); err == nil || !strings.Contains(err.Error(), "Shards") {
+	if _, err := New(env, Config{Shards: 0, Key: hashtable.RouteKey, Policies: policies()}); err == nil || !strings.Contains(err.Error(), "Shards") {
 		t.Errorf("zero shards accepted: %v", err)
 	}
-	if _, err := New(env, Config{Shards: 2, Policies: policies()}); err == nil || !strings.Contains(err.Error(), "Router") {
-		t.Errorf("nil router accepted: %v", err)
+	if _, err := New(env, Config{Shards: 2, Policies: policies()}); err == nil || !strings.Contains(err.Error(), "Key") {
+		t.Errorf("nil key accepted: %v", err)
 	}
-	s, err := New(env, Config{Shards: 3, Router: keyRouter(3), Policies: policies()})
+	s, err := New(env, Config{Shards: 3, Key: hashtable.RouteKey, Policies: policies()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +45,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestCompletionPaths(t *testing.T) {
 	env := memsim.NewDet(memsim.DetConfig{Threads: 2})
-	s, err := New(env, Config{Shards: 2, Router: keyRouter(2), Policies: policies()})
+	s, err := New(env, Config{Shards: 2, Key: hashtable.RouteKey, Policies: policies()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +63,7 @@ func buildSharded(t *testing.T, env memsim.Env, shards int) (*Sharded, []*hashta
 	for i := range tables {
 		tables[i] = hashtable.New(boot, 16)
 	}
-	s, err := New(env, Config{Shards: shards, Router: keyRouter(shards), Policies: policies()})
+	s, err := New(env, Config{Shards: shards, Key: hashtable.RouteKey, Policies: policies()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +71,9 @@ func buildSharded(t *testing.T, env memsim.Env, shards int) (*Sharded, []*hashta
 }
 
 // runMixed drives a mixed single-key + cross-shard workload and returns ops
-// executed.
+// executed. Each single-key op names the table of the shard s's ring routes
+// its key to.
 func runMixed(env memsim.Env, s *Sharded, tables []*hashtable.Table, perThread int) int {
-	shards := uint64(len(tables))
 	env.Run(func(th *memsim.Thread) {
 		rng := rand.New(rand.NewPCG(uint64(th.ID())+1, 77))
 		for i := 0; i < perThread; i++ {
@@ -97,7 +82,7 @@ func runMixed(env memsim.Env, s *Sharded, tables []*hashtable.Table, perThread i
 				continue
 			}
 			k := rng.Uint64N(64)
-			tbl := tables[k%shards]
+			tbl := tables[s.Ring().Owner(k)]
 			switch rng.IntN(3) {
 			case 0:
 				s.Execute(th, hashtable.InsertOp{T: tbl, Key: k, Val: k})
@@ -239,7 +224,7 @@ func TestSingleShardMatchesFramework(t *testing.T) {
 		tbl := hashtable.New(boot, 16)
 		var eng engine.Engine
 		if sharded {
-			s, err := New(env, Config{Shards: 1, Router: keyRouter(1), Policies: policies()})
+			s, err := New(env, Config{Shards: 1, Key: hashtable.RouteKey, Policies: policies()})
 			if err != nil {
 				t.Fatal(err)
 			}
