@@ -1,5 +1,6 @@
 // Command hcfbench regenerates the paper's figures on the deterministic
-// simulator.
+// simulator, and the wall-clock figures of the native backend, the KV
+// engine and the simulator's own host speed.
 //
 // Usage:
 //
@@ -7,47 +8,37 @@
 //	hcfbench -fig 2c               # reproduce one figure
 //	hcfbench -fig all              # reproduce everything
 //	hcfbench -fig 5a -csv          # emit CSV for external plotting
-//	hcfbench -fig 5a -json         # emit JSON Lines (one record per cell)
+//	hcfbench -fig 5a -json         # emit the figure's benchmark record
 //	hcfbench -fig 2a -threads 1,8,36 -horizon 500000 -seed 7
 //
-// The open-loop figure has its own pipeline — offered-load sweep with
-// coordinated-omission-safe sojourn tails, SLO verdicts, JSONL output and
-// a p99 regression gate:
+// Every figure emits the same record format with -json: one header line
+// (figure, host, config) and one JSON line per point. -gate compares the
+// fresh record against a baseline record and exits non-zero on a
+// regression; the figure decides how. Simulator figures must reproduce
+// the baseline's config and every baseline point byte for byte.
+// Wall-clock figures gate one metric per point, normalized by the median
+// fresh/baseline ratio so a uniform hardware shift passes. Any point with
+// an invariant violation or a failed crash-recovery replay fails the run,
+// gated or not.
 //
-//	hcfbench -fig openloop                            # table to stdout
-//	hcfbench -fig openloop -json                      # JSONL to stdout
-//	hcfbench -fig openloop -out bench/OPENLOOP_sweep.jsonl
-//	hcfbench -fig openloop -openloop-baseline bench/OPENLOOP_sweep.jsonl
-//	hcfbench -fig openloop -serve 127.0.0.1:7070      # live /debug endpoints
+// The checked-in records and the command that gates each one:
 //
-// So does the native backend's wall-clock sweep — the direct-atomics
-// HCF engine against sync.Mutex, sync.RWMutex and sync.Map:
+//	hcfbench -fig sharded -json -gate bench/SHARDED_sweep.jsonl
+//	hcfbench -fig openloop -json -gate bench/OPENLOOP_sweep.jsonl
+//	hcfbench -fig elastic -json -gate bench/ELASTIC_sweep.jsonl
+//	hcfbench -fig native -native-dur 80 -json -gate bench/BENCH_native.jsonl
+//	hcfbench -fig kv -kv-dur 200 -json -gate bench/KV_sweep.jsonl
+//	hcfbench -fig hostspeed -threads 1,4,12,36 -horizon 200000 -parallel 1 -json -gate bench/HOSTSPEED.jsonl
 //
-//	hcfbench -fig native                              # table to stdout
-//	hcfbench -fig native -out bench/BENCH_native.json # record for the CI gate
-//	hcfbench -fig native -native-baseline bench/BENCH_native.json
-//	hcfbench -fig native -threads 1,2,4,8 -native-dur 300
+// Redirect -json to a file to record a new baseline. The open-loop figure
+// can also serve live introspection endpoints while it runs:
 //
-// And the KV storage engine's durability sweep — open-loop Zipfian
-// get/put/delete mixes against hcf.NewKV with fsync-backed group commit
-// and a crash-recovery replay check per point:
+//	hcfbench -fig openloop -serve 127.0.0.1:7070
 //
-//	hcfbench -fig kv                                  # table to stdout
-//	hcfbench -fig kv -out bench/KV_sweep.jsonl        # record for the CI gate
-//	hcfbench -fig kv -kv-baseline bench/KV_sweep.jsonl
-//	hcfbench -fig kv -threads 8 -kv-dur 100           # quick smoke
-//
-// And the elastic-sharding hot-shard healing figure — the same drifting
-// 90%-skewed workload run with the topology frozen and with the
-// rebalancer splitting hot shards online:
-//
-//	hcfbench -fig elastic                             # table to stdout
-//	hcfbench -fig elastic -out bench/ELASTIC_sweep.jsonl
-//	hcfbench -fig elastic -elastic-gate 0.8           # CI: healed >= 0.8x balanced
+// A flag the chosen figure does not read is an error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -102,58 +93,65 @@ func writeMemProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
+// figureFlags lists the flags each figure with its own pipeline reads,
+// beyond -fig, -json, -gate and the profiling flags. Every other figure
+// is a RunFigure sweep and reads sweepFlags.
+var figureFlags = map[string][]string{
+	"native":    {"threads", "native-dur"},
+	"kv":        {"threads", "kv-dur"},
+	"openloop":  {"threads", "engines", "rates", "horizon", "seed", "parallel", "serve"},
+	"elastic":   {"threads", "horizon", "seed", "parallel", "elastic-rate"},
+	"hostspeed": {"threads", "engines", "horizon", "seed", "parallel"},
+}
+
+var sweepFlags = []string{"threads", "engines", "horizon", "seed", "parallel", "csv"}
+
+// checkFlags rejects every flag set on the command line that the figure
+// would silently ignore.
+func checkFlags(fs *flag.FlagSet, fig string) error {
+	reads := map[string]bool{"fig": true, "json": true, "gate": true, "cpuprofile": true, "memprofile": true}
+	names, ok := figureFlags[fig]
+	if !ok {
+		names = sweepFlags
+	}
+	for _, n := range names {
+		reads[n] = true
+	}
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) > 0 {
+		return fmt.Errorf("-fig %s does not use %s", fig, strings.Join(bad, ", "))
+	}
+	return nil
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("hcfbench", flag.ContinueOnError)
 	var (
 		list     = fs.Bool("list", false, "list available figures and exit")
-		figID    = fs.String("fig", "", "figure id to reproduce, or 'all'")
+		figID    = fs.String("fig", "", "figure id to reproduce: a -list entry, 'all', 'native', 'kv' or 'hostspeed'")
 		horizon  = fs.Int64("horizon", 200_000, "virtual cycles per measurement")
 		seed     = fs.Uint64("seed", 1, "workload seed")
 		csv      = fs.Bool("csv", false, "emit CSV instead of tables")
-		jsonFlg  = fs.Bool("json", false, "emit JSON Lines (one record per scenario/engine/threads cell) instead of tables")
+		jsonFlg  = fs.Bool("json", false, "emit the figure's benchmark record (JSON Lines: header, then one line per point) instead of tables")
+		gatePath = fs.String("gate", "", "compare the fresh record against this baseline record; exit non-zero on a regression")
 		threads  = fs.String("threads", "", "comma-separated thread counts (override)")
 		engs     = fs.String("engines", "", "comma-separated engine names (override)")
 		parallel = fs.Int("parallel", 0, "max concurrently measured sweep points (0 = all host cores, 1 = serial)")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof allocation profile to this file")
-		benchFlg = fs.Bool("bench", false, "measure host throughput of the reference sweep and emit a BENCH_sim.json record")
-		benchOut = fs.String("bench-out", "", "write the -bench record to this file instead of stdout")
-		baseline = fs.String("baseline", "", "compare the -bench record against this BENCH_sim.json; exit non-zero on >25% host-throughput regression")
 		rates    = fs.String("rates", "", "comma-separated offered loads in ops/Mcycle (-fig openloop only; default 2000,8000,20000,45000,90000)")
-		outPath  = fs.String("out", "", "write the -fig openloop sweep as JSONL to this file (in addition to stdout rendering)")
-		olBase   = fs.String("openloop-baseline", "", "compare the -fig openloop sweep against this JSONL baseline; exit non-zero if any matching point's sojourn p99 regressed by more than 25%")
 		serveAt  = fs.String("serve", "", "host:port for live introspection endpoints during the -fig openloop run (forces serial point order)")
 		natDur   = fs.Int("native-dur", 150, "measured window per point in milliseconds (-fig native only)")
-		natBase  = fs.String("native-baseline", "", "compare the -fig native sweep against this BENCH_native.json; exit non-zero when any point regresses more than 2x below the median fresh/baseline ratio")
 		kvDur    = fs.Int64("kv-dur", 400, "arrival window per point in milliseconds (-fig kv only)")
-		kvBase   = fs.String("kv-baseline", "", "compare the -fig kv sweep against this JSONL baseline; median-normalized sojourn-p99 gate plus an unconditional recovery-replay check")
-		elGate   = fs.Float64("elastic-gate", 0, "-fig elastic only: fail unless the healed run's post-phase throughput is at least this fraction of the balanced run's (0 = report, don't gate)")
 		elRate   = fs.Float64("elastic-rate", 0, "-fig elastic only: offered load in ops/Mcycle (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	stopProf, err := startCPUProfile(*cpuProf)
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	defer func() {
-		if err := writeMemProfile(*memProf); err != nil {
-			fmt.Fprintln(os.Stderr, "hcfbench: memprofile:", err)
-		}
-	}()
-	if *engs != "" {
-		if err := harness.ValidateEngineNames(strings.Split(*engs, ",")); err != nil {
-			return err
-		}
-	}
-	if *benchFlg {
-		fig := *figID
-		if fig == "" {
-			fig = "2c" // the reference sweep: hashtable 40% finds, all engines
-		}
-		return runBench(fig, *threads, *engs, *horizon, *seed, *parallel, *benchOut, *baseline)
 	}
 	if *list {
 		for _, f := range harness.Figures() {
@@ -165,321 +163,206 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("missing -fig (or -list)")
 	}
-	if *figID == "native" {
-		return runNative(*threads, *natDur, *jsonFlg, *outPath, *natBase)
+	if err := checkFlags(fs, *figID); err != nil {
+		return err
 	}
-	if *figID == "kv" {
-		return runKV(*threads, *kvDur, *jsonFlg, *outPath, *kvBase)
+	var ts []int
+	if *threads != "" {
+		var err error
+		if ts, err = parseInts(*threads); err != nil {
+			return err
+		}
 	}
-	if *figID == "openloop" {
-		return runOpenLoop(*threads, *engs, *rates, *horizon, *seed, *parallel,
-			*csv, *jsonFlg, *outPath, *olBase, *serveAt)
+	var engines []string
+	if *engs != "" {
+		engines = strings.Split(*engs, ",")
+		if err := harness.ValidateEngineNames(engines); err != nil {
+			return err
+		}
 	}
-	if *figID == "elastic" {
+	stopProf, err := startCPUProfile(*cpuProf)
+	if err != nil {
+		return err
+	}
+	defer stopProf()
+	defer func() {
+		if err := writeMemProfile(*memProf); err != nil {
+			fmt.Fprintln(os.Stderr, "hcfbench: memprofile:", err)
+		}
+	}()
+
+	cfg := harness.Config{Horizon: *horizon, Seed: *seed, Parallel: *parallel}
+	var rec []byte
+	var text string
+	switch *figID {
+	case "native":
+		rec, text, err = runNative(ts, *natDur)
+	case "kv":
+		rec, text, err = runKV(ts, *kvDur)
+	case "openloop":
+		rec, text, err = runOpenLoop(ts, engines, *rates, cfg, *serveAt)
+	case "elastic":
 		// The elastic figure has its own (longer) default horizon: only
 		// forward -horizon when the user actually set it.
-		h := int64(0)
+		cfg.Horizon = 0
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "horizon" {
-				h = *horizon
+				cfg.Horizon = *horizon
 			}
 		})
-		return runElastic(*threads, h, *seed, *parallel, *jsonFlg, *outPath, *elRate, *elGate)
+		rec, text, err = runElastic(ts, cfg, *elRate)
+	case "hostspeed":
+		rec, text, err = runHostSpeed(ts, engines, cfg)
+	default:
+		rec, text, err = runFigures(*figID, ts, engines, cfg, *csv)
 	}
-	var figs []harness.Figure
-	if *figID == "all" {
-		figs = harness.Figures()
+	if err != nil {
+		return err
+	}
+	if *jsonFlg {
+		os.Stdout.Write(rec)
 	} else {
-		f, err := harness.FigureByID(*figID)
+		fmt.Print(text)
+	}
+	return check(rec, *gatePath)
+}
+
+// check fails the run on any correctness failure in the fresh record and,
+// with -gate, on a regression against the baseline record.
+func check(rec []byte, gatePath string) error {
+	fresh, err := harness.ParseRecord(rec)
+	if err != nil {
+		return err
+	}
+	if err := harness.CheckRecord(fresh); err != nil {
+		return err
+	}
+	if gatePath == "" {
+		return nil
+	}
+	data, err := os.ReadFile(gatePath)
+	if err != nil {
+		return fmt.Errorf("gate: %w", err)
+	}
+	base, err := harness.ParseRecord(data)
+	if err != nil {
+		return fmt.Errorf("gate %s: %w", gatePath, err)
+	}
+	summary, err := harness.GateRecord(fresh, base)
+	if err != nil {
+		return fmt.Errorf("gate %s: %w", gatePath, err)
+	}
+	fmt.Fprintf(os.Stderr, "hcfbench: gate %s passed: %s\n", gatePath, summary)
+	return nil
+}
+
+// runFigures runs one registry figure, or all of them, as RunFigure
+// sweeps: one record of every row, rendered per figure as a table or CSV.
+func runFigures(id string, threads []int, engines []string, cfg harness.Config, csv bool) ([]byte, string, error) {
+	figs := harness.Figures()
+	if id != "all" {
+		f, err := harness.FigureByID(id)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
 		figs = []harness.Figure{f}
 	}
-	cfg := harness.Config{Horizon: *horizon, Seed: *seed, Parallel: *parallel}
-	for i := range figs {
-		if *threads != "" {
-			ts, err := parseInts(*threads)
-			if err != nil {
-				return err
-			}
-			figs[i].Threads = ts
+	sc := harness.SweepConfig{Threads: threads, Engines: engines, Horizon: cfg.Horizon, Seed: cfg.Seed}
+	var all []harness.Result
+	var text strings.Builder
+	for _, f := range figs {
+		if threads != nil {
+			f.Threads = threads
 		}
-		if *engs != "" {
-			figs[i].Engines = strings.Split(*engs, ",")
+		if engines != nil {
+			f.Engines = engines
 		}
-		results, err := harness.RunFigure(figs[i], cfg)
+		if id != "all" {
+			sc.Threads, sc.Engines = f.Threads, f.Engines
+		}
+		results, err := harness.RunFigure(f, cfg)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
-		switch {
-		case *jsonFlg:
-			out, err := harness.FormatJSONL(results)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-		case *csv:
-			fmt.Print(harness.FormatCSV(results))
-		default:
-			fmt.Println(harness.FormatFigure(figs[i], results))
+		all = append(all, results...)
+		if csv {
+			text.WriteString(harness.FormatCSV(results))
+		} else {
+			text.WriteString(harness.FormatFigure(f, results) + "\n")
 		}
 	}
-	return nil
+	rec, err := harness.EncodeResults(id, sc, all)
+	return rec, text.String(), err
 }
 
-// benchRecord is the machine-readable host-throughput record emitted by
-// -bench (BENCH_sim.json). Throughput is simulated work done per host
-// second, so the number is meaningful across horizon choices; regressions
-// are judged on sim_mcycles_per_host_sec.
-type benchRecord struct {
-	Kind       string   `json:"kind"` // "hcf-host-bench"
-	Figure     string   `json:"figure"`
-	Threads    []int    `json:"threads"`
-	Engines    []string `json:"engines"`
-	Horizon    int64    `json:"horizon"`
-	Seed       uint64   `json:"seed"`
-	Parallel   int      `json:"parallel"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	WallSec    float64  `json:"wall_seconds"`
-	Points     int      `json:"points"`
-	TotalOps   uint64   `json:"total_ops"`
-	// SimMcyclesPerHostSec is the headline metric: simulated megacycles
-	// executed per second of host wall-clock time.
-	SimMcyclesPerHostSec float64 `json:"sim_mcycles_per_host_sec"`
-	OpsPerHostSec        float64 `json:"ops_per_host_sec"`
-	// Baseline is filled when -baseline is given: the reference record's
-	// throughput and the measured speedup over it.
-	Baseline *benchBaseline `json:"baseline,omitempty"`
-}
-
-type benchBaseline struct {
-	Path                 string  `json:"path"`
-	SimMcyclesPerHostSec float64 `json:"sim_mcycles_per_host_sec"`
-	Speedup              float64 `json:"speedup"`
-}
-
-// runBench measures the host wall-clock cost of one reference sweep and
-// emits a benchRecord, optionally enforcing a regression threshold against
-// a checked-in baseline record.
-func runBench(figID, threadsCSV, engsCSV string, horizon int64, seed uint64, parallel int, outPath, basePath string) error {
-	fig, err := harness.FigureByID(figID)
+// runHostSpeed times the figure-2c reference sweep.
+func runHostSpeed(threads []int, engines []string, cfg harness.Config) ([]byte, string, error) {
+	f, err := harness.FigureByID("2c")
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	if threadsCSV != "" {
-		if fig.Threads, err = parseInts(threadsCSV); err != nil {
-			return err
-		}
+	if threads != nil {
+		f.Threads = threads
 	}
-	if engsCSV != "" {
-		fig.Engines = strings.Split(engsCSV, ",")
+	if engines != nil {
+		f.Engines = engines
 	}
-	cfg := harness.Config{Horizon: horizon, Seed: seed, Parallel: parallel}
-	start := time.Now()
-	results, err := harness.RunFigure(fig, cfg)
+	rep, err := harness.RunHostSpeed(f, cfg)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	wall := time.Since(start).Seconds()
-	rec := benchRecord{
-		Kind:       "hcf-host-bench",
-		Figure:     fig.ID,
-		Threads:    fig.Threads,
-		Engines:    fig.Engines,
-		Horizon:    horizon,
-		Seed:       seed,
-		Parallel:   parallel,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		WallSec:    wall,
-		Points:     len(results),
-	}
-	var simCycles int64
-	for _, r := range results {
-		rec.TotalOps += r.Ops
-		simCycles += r.Cycles
-	}
-	if wall > 0 {
-		rec.SimMcyclesPerHostSec = float64(simCycles) / 1e6 / wall
-		rec.OpsPerHostSec = float64(rec.TotalOps) / wall
-	}
-	if basePath != "" {
-		data, err := os.ReadFile(basePath)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		var base benchRecord
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("baseline %s: %w", basePath, err)
-		}
-		if base.SimMcyclesPerHostSec > 0 {
-			rec.Baseline = &benchBaseline{
-				Path:                 basePath,
-				SimMcyclesPerHostSec: base.SimMcyclesPerHostSec,
-				Speedup:              rec.SimMcyclesPerHostSec / base.SimMcyclesPerHostSec,
-			}
-		}
-	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if outPath != "" {
-		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench: %s in %.2fs (%.1f sim Mcycles/s) -> %s\n",
-			fig.ID, wall, rec.SimMcyclesPerHostSec, outPath)
-	} else {
-		fmt.Print(string(out))
-	}
-	if rec.Baseline != nil {
-		fmt.Fprintf(os.Stderr, "bench: %.2fx the baseline's host throughput (%s)\n",
-			rec.Baseline.Speedup, basePath)
-		if rec.Baseline.Speedup < 0.75 {
-			return fmt.Errorf("host-throughput regression: %.1f sim Mcycles/s is %.0f%% of baseline %.1f",
-				rec.SimMcyclesPerHostSec, 100*rec.Baseline.Speedup, rec.Baseline.SimMcyclesPerHostSec)
-		}
-	}
-	return nil
+	rec, err := rep.Record()
+	return rec, rep.Text(), err
 }
 
 // runNative is the -fig native pipeline: a wall-clock sweep of the
 // native (direct-atomics) HCF backend against sync.Mutex, sync.RWMutex
-// and sync.Map across goroutine counts and read/write mixes. With -out
-// the record (bench/BENCH_native.json) is written for the CI smoke gate;
-// with -native-baseline the fresh sweep is compared against a checked-in
-// record using median-normalized point ratios, so the gate survives the
-// baseline having been recorded on different hardware.
-func runNative(threadsCSV string, durMS int, jsonFlg bool, outPath, basePath string) error {
-	opts := harness.NativeOptions{Duration: time.Duration(durMS) * time.Millisecond}
-	if threadsCSV != "" {
-		gs, err := parseInts(threadsCSV)
-		if err != nil {
-			return err
-		}
-		opts.Goroutines = gs
-	}
-	rep, err := harness.RunNativeSweep(opts)
+// and sync.Map across goroutine counts and read/write mixes.
+func runNative(threads []int, durMS int) ([]byte, string, error) {
+	rep, err := harness.RunNativeSweep(harness.NativeOptions{
+		Goroutines: threads,
+		Duration:   time.Duration(durMS) * time.Millisecond,
+	})
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if outPath != "" {
-		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("native: %d points in %.1fs -> %s\n", len(rep.Points), rep.WallSec, outPath)
-	}
-	if jsonFlg {
-		fmt.Print(string(out))
-	} else {
-		fmt.Print(harness.FormatNativeReport(rep))
-	}
-	if basePath != "" {
-		data, err := os.ReadFile(basePath)
-		if err != nil {
-			return fmt.Errorf("native baseline: %w", err)
-		}
-		base, err := harness.ParseNativeReport(data)
-		if err != nil {
-			return fmt.Errorf("native baseline %s: %w", basePath, err)
-		}
-		matched, err := harness.CompareNativeBaseline(rep, base, 2)
-		if err != nil {
-			return fmt.Errorf("native baseline %s: %w", basePath, err)
-		}
-		fmt.Fprintf(os.Stderr, "native: %d points within 2x of the median ratio vs %s\n", matched, basePath)
-	}
-	return nil
+	rec, err := rep.Record()
+	return rec, harness.FormatNativeReport(rep), err
 }
 
 // runKV is the -fig kv pipeline: an open-loop sweep of the HCF-backed
 // KV engine (hcf.NewKV) across simulated-user populations and get/put/
 // delete mixes, with fsync-backed group commit, sojourn tails, SLO
-// verdicts and an inline crash-recovery replay check per point. With
-// -out the JSONL record (bench/KV_sweep.jsonl) is written for the CI
-// smoke gate; with -kv-baseline the fresh sweep is compared against a
-// checked-in record using median-normalized p99 ratios (hardware- and
-// disk-speed-tolerant), and any point whose recovery replay diverged
-// from its witness dump fails unconditionally.
-func runKV(threadsCSV string, durMS int64, jsonFlg bool, outPath, basePath string) error {
+// verdicts and an inline crash-recovery replay check per point.
+func runKV(threads []int, durMS int64) ([]byte, string, error) {
 	opts := harness.KVSweepOptions{DurationMS: durMS}
-	if threadsCSV != "" {
-		gs, err := parseInts(threadsCSV)
-		if err != nil {
-			return err
+	if threads != nil {
+		if len(threads) != 1 {
+			return nil, "", fmt.Errorf("-fig kv takes a single -threads value (worker count), got %v", threads)
 		}
-		if len(gs) != 1 {
-			return fmt.Errorf("-fig kv takes a single -threads value (worker count), got %q", threadsCSV)
-		}
-		opts.Workers = gs[0]
+		opts.Workers = threads[0]
 	}
 	rep, err := harness.RunKVSweep(opts)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	out, err := rep.JSONL()
-	if err != nil {
-		return err
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("kv: %d points -> %s\n", len(rep.Points), outPath)
-	}
-	if jsonFlg {
-		fmt.Print(string(out))
-	} else {
-		fmt.Print(rep.Text())
-	}
-	if basePath != "" {
-		data, err := os.ReadFile(basePath)
-		if err != nil {
-			return fmt.Errorf("kv baseline: %w", err)
-		}
-		base, err := harness.ParseKVJSONL(data)
-		if err != nil {
-			return fmt.Errorf("kv baseline %s: %w", basePath, err)
-		}
-		matched, err := harness.CompareKVBaseline(rep, base, 2)
-		if err != nil {
-			return fmt.Errorf("kv baseline %s: %w", basePath, err)
-		}
-		fmt.Fprintf(os.Stderr, "kv: %d points within 2x of the median p99 ratio vs %s, recovery replay clean\n", matched, basePath)
-	}
-	return nil
+	rec, err := rep.Record()
+	return rec, rep.Text(), err
 }
 
-// openLoopP99Ratio is the regression gate for -openloop-baseline: a
-// matching point fails if its sojourn p99 exceeds 1.25x the baseline's.
-const openLoopP99Ratio = 1.25
-
 // runOpenLoop is the -fig openloop pipeline: an offered-load sweep with
-// coordinated-omission-safe sojourn latency, optional live introspection
-// endpoints during the run, JSONL output for the checked-in baseline, and
-// a p99 regression gate against a prior sweep.
-func runOpenLoop(threadsCSV, engsCSV, ratesCSV string, horizon int64, seed uint64, parallel int, csv, jsonFlg bool, outPath, basePath, serveAt string) error {
-	threads := 36
-	if threadsCSV != "" {
-		ts, err := parseInts(threadsCSV)
-		if err != nil {
-			return err
+// coordinated-omission-safe sojourn latency and optional live
+// introspection endpoints during the run.
+func runOpenLoop(threads []int, engines []string, ratesCSV string, cfg harness.Config, serveAt string) ([]byte, string, error) {
+	th := 36
+	if threads != nil {
+		if len(threads) != 1 {
+			return nil, "", fmt.Errorf("-fig openloop takes exactly one thread count, got %v", threads)
 		}
-		if len(ts) != 1 {
-			return fmt.Errorf("-fig openloop takes exactly one thread count, got %v", ts)
-		}
-		threads = ts[0]
+		th = threads[0]
 	}
-	engines := harness.OpenLoopDefaultEngines
-	if engsCSV != "" {
-		engines = strings.Split(engsCSV, ",")
+	if engines == nil {
+		engines = harness.OpenLoopDefaultEngines
 	}
 	rates := harness.OpenLoopDefaultRates
 	if ratesCSV != "" {
@@ -487,14 +370,13 @@ func runOpenLoop(threadsCSV, engsCSV, ratesCSV string, horizon int64, seed uint6
 		for _, p := range strings.Split(ratesCSV, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 			if err != nil || r <= 0 {
-				return fmt.Errorf("bad rate %q", p)
+				return nil, "", fmt.Errorf("bad rate %q", p)
 			}
 			rates = append(rates, r)
 		}
 	}
 	sc := harness.OpenLoopScenario()
-	cfg := harness.Config{Horizon: horizon, Seed: seed, Parallel: parallel}
-	ol := harness.OpenLoopConfig{Interval: max(horizon/20, 1)}
+	ol := harness.OpenLoopConfig{Interval: max(cfg.Horizon/20, 1)}
 
 	var rep *harness.OpenLoopReport
 	if serveAt != "" {
@@ -504,12 +386,12 @@ func runOpenLoop(threadsCSV, engsCSV, ratesCSV string, horizon int64, seed uint6
 		srv := serve.New()
 		addr, err := srv.Start(serveAt)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "hcfbench: live introspection at http://%s/debug\n", addr)
 		rep = &harness.OpenLoopReport{
-			Figure: "openloop", Scenario: sc.Name, Threads: threads,
+			Scenario: sc.Name, Threads: th,
 			Seed: cfg.Seed, Horizon: cfg.Horizon, Interval: ol.Interval, Rates: rates,
 		}
 		for _, r := range rates {
@@ -517,108 +399,40 @@ func runOpenLoop(threadsCSV, engsCSV, ratesCSV string, horizon int64, seed uint6
 				olp := ol
 				olp.Rate = r
 				olp.Observer = srv
-				p, _, err := harness.RunPointOpenLoop(sc, name, threads, cfg, olp)
+				p, _, err := harness.RunPointOpenLoop(sc, name, th, cfg, olp)
 				if err != nil {
-					return err
+					return nil, "", err
 				}
 				rep.Points = append(rep.Points, p)
 			}
 		}
 	} else {
 		var err error
-		rep, err = harness.RunOpenLoopSweep(sc, engines, rates, threads, cfg, ol)
+		rep, err = harness.RunOpenLoopSweep(sc, engines, rates, th, cfg, ol)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
 	}
-
-	switch {
-	case jsonFlg:
-		data, err := rep.JSONL()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-	case csv:
-		return fmt.Errorf("-csv is not supported with -fig openloop (use -json for JSONL)")
-	default:
-		fmt.Print(rep.Text())
-	}
-	if outPath != "" {
-		data, err := rep.JSONL()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hcfbench: wrote %d open-loop points to %s\n", len(rep.Points), outPath)
-	}
-	if basePath != "" {
-		data, err := os.ReadFile(basePath)
-		if err != nil {
-			return fmt.Errorf("openloop-baseline: %w", err)
-		}
-		base, err := harness.ParseOpenLoopJSONL(data)
-		if err != nil {
-			return fmt.Errorf("openloop-baseline %s: %w", basePath, err)
-		}
-		if err := harness.CompareOpenLoopBaseline(rep, base, openLoopP99Ratio); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hcfbench: open-loop sojourn p99 within %.0f%% of baseline %s\n",
-			100*(openLoopP99Ratio-1), basePath)
-	}
-	return nil
+	rec, err := rep.Record()
+	return rec, rep.Text(), err
 }
 
 // runElastic is the -fig elastic pipeline: the three-mode hot-shard
-// healing comparison (balanced / static skew / rebalanced), rendered as
-// a table or JSONL (bench/ELASTIC_sweep.jsonl) and optionally gated on
-// the healing story itself (-elastic-gate).
-func runElastic(threadsCSV string, horizon int64, seed uint64, parallel int, jsonFlg bool, outPath string, rate, gate float64) error {
-	threads := 36
-	if threadsCSV != "" {
-		ts, err := parseInts(threadsCSV)
-		if err != nil {
-			return err
+// healing comparison (balanced / static skew / rebalanced).
+func runElastic(threads []int, cfg harness.Config, rate float64) ([]byte, string, error) {
+	th := 36
+	if threads != nil {
+		if len(threads) != 1 {
+			return nil, "", fmt.Errorf("-fig elastic takes exactly one thread count, got %v", threads)
 		}
-		if len(ts) != 1 {
-			return fmt.Errorf("-fig elastic takes exactly one thread count, got %v", ts)
-		}
-		threads = ts[0]
+		th = threads[0]
 	}
-	cfg := harness.Config{Horizon: horizon, Seed: seed, Parallel: parallel}
-	rep, err := harness.RunElasticFigure(threads, cfg, harness.ElasticRunConfig{Rate: rate, Gate: gate})
+	rep, err := harness.RunElasticFigure(th, cfg, harness.ElasticRunConfig{Rate: rate})
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	if jsonFlg {
-		data, err := rep.JSONL()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-	} else {
-		fmt.Print(rep.Text())
-	}
-	if outPath != "" {
-		data, err := rep.JSONL()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hcfbench: wrote %d elastic points to %s\n", len(rep.Points), outPath)
-	}
-	if gate > 0 {
-		if err := harness.CheckElasticGate(rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hcfbench: elastic gate ok (post-heal throughput >= %.2fx balanced, verdict recovered)\n", rep.Gate)
-	}
-	return nil
+	rec, err := rep.Record()
+	return rec, rep.Text(), err
 }
 
 func parseInts(s string) ([]int, error) {

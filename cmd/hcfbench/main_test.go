@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,44 @@ func TestRunListAndErrors(t *testing.T) {
 	if err := run([]string{"-fig", "2a", "-threads", "bad"}); err == nil {
 		t.Error("bad thread list accepted")
 	}
+	// Flags the chosen figure would silently ignore are errors.
+	for _, args := range [][]string{
+		{"-fig", "native", "-csv"},
+		{"-fig", "kv", "-csv"},
+		{"-fig", "elastic", "-csv"},
+		{"-fig", "openloop", "-csv"},
+		{"-fig", "hostspeed", "-csv"},
+		{"-fig", "native", "-engines", "Lock"},
+		{"-fig", "kv", "-engines", "Lock"},
+		{"-fig", "elastic", "-engines", "Lock"},
+		{"-fig", "2c", "-rates", "1000"},
+		{"-fig", "elastic", "-rates", "1000"},
+		{"-fig", "native", "-rates", "1000"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "does not use") {
+			t.Errorf("%v: got %v, want an ignored-flag error", args, err)
+		}
+	}
+}
+
+// captureRun runs hcfbench with args and returns what it printed.
+func captureRun(t *testing.T, args ...string) ([]byte, error) {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- out
+	}()
+	runErr := run(args)
+	os.Stdout = old
+	w.Close()
+	return <-done, runErr
 }
 
 func TestRunTinyFigure(t *testing.T) {
@@ -50,31 +89,23 @@ func TestRunTinyFigure(t *testing.T) {
 	}
 }
 
-// TestRunJSONL checks -json emits one parseable record per
-// (scenario, engine, threads) cell.
+// TestRunJSONL checks -json emits the figure's record: a header line,
+// then one parseable point per (scenario, engine, threads) cell.
 func TestRunJSONL(t *testing.T) {
-	old := os.Stdout
-	r, w, err := os.Pipe()
+	out, err := captureRun(t, "-fig", "stack", "-threads", "2,3", "-horizon", "5000",
+		"-engines", "Lock,HCF", "-json")
 	if err != nil {
 		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := run([]string{"-fig", "stack", "-threads", "2,3", "-horizon", "5000",
-		"-engines", "Lock,HCF", "-json"})
-	os.Stdout = old
-	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
 	}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	if len(lines) != 4 { // 2 thread counts x 2 engines
-		t.Fatalf("got %d JSONL records, want 4:\n%s", len(lines), out)
+	if len(lines) != 5 { // header + 2 thread counts x 2 engines
+		t.Fatalf("got %d JSONL lines, want 5:\n%s", len(lines), out)
 	}
-	for _, line := range lines {
+	var hdr map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr["figure"] != "stack" {
+		t.Fatalf("header %s: figure %v, err %v", lines[0], hdr["figure"], err)
+	}
+	for _, line := range lines[1:] {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("record does not parse: %v\n%s", err, line)
@@ -84,5 +115,29 @@ func TestRunJSONL(t *testing.T) {
 				t.Errorf("record missing %q: %s", key, line)
 			}
 		}
+	}
+}
+
+// TestRunGate gates a fresh run against its own record, then against a
+// copy with one number changed.
+func TestRunGate(t *testing.T) {
+	args := []string{"-fig", "stack", "-threads", "2", "-horizon", "5000", "-engines", "Lock,HCF", "-json"}
+	out, err := captureRun(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "base.jsonl")
+	if err := os.WriteFile(base, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := captureRun(t, append(args, "-gate", base)...); err != nil {
+		t.Fatalf("self-gate failed: %v", err)
+	}
+	edited := strings.Replace(string(out), `"ops":`, `"ops":1`, 1)
+	if err := os.WriteFile(base, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := captureRun(t, append(args, "-gate", base)...); err == nil {
+		t.Fatal("gate passed against an edited baseline")
 	}
 }

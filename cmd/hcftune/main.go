@@ -9,7 +9,7 @@
 //	hcftune                            # text comparison + decision journal
 //	hcftune -threads 36 -horizon 900000 -seed 1
 //	hcftune -format json               # one JSON object: report + journal
-//	hcftune -format jsonl              # sweep rows (bench/AUTOTUNE_sweep.jsonl)
+//	hcftune -format jsonl              # benchmark record (bench/AUTOTUNE_sweep.jsonl)
 //	hcftune -format prom               # journal as Prometheus exposition
 //	hcftune -journal-out tuner.json    # also write the journal as JSON
 //	hcftune -sweep-out sweep.jsonl     # also write the sweep rows
@@ -41,7 +41,7 @@ func run(args []string) error {
 		seed       = fs.Uint64("seed", 1, "workload seed")
 		format     = fs.String("format", "text", "text | json | jsonl | prom")
 		journalOut = fs.String("journal-out", "", "write the decision journal (JSON) to this file")
-		sweepOut   = fs.String("sweep-out", "", "write the sweep rows (JSON Lines) to this file")
+		sweepOut   = fs.String("sweep-out", "", "write the benchmark record (JSON Lines) to this file")
 		gate       = fs.Float64("gate", 0, "fail unless tuned throughput >= gate x the HCF-paper baseline (0 = no gate)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,7 +66,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("%s\n", out)
 	case "jsonl":
-		out, err := rep.JSONL()
+		out, err := rep.Record()
 		if err != nil {
 			return err
 		}
@@ -87,7 +87,7 @@ func run(args []string) error {
 		}
 	}
 	if *sweepOut != "" {
-		out, err := rep.JSONL()
+		out, err := rep.Record()
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -447,62 +446,53 @@ func (r *AutotuneReport) Results() []Result {
 	return out
 }
 
-// JSONL renders the report as one JSON object per line: a header line
-// describing the scenario, then one line per variant per region (total,
-// each segment, post-drift) — the format checked in under bench/.
-func (r *AutotuneReport) JSONL() ([]byte, error) {
-	var b strings.Builder
-	type header struct {
+// autotuneRow is one point of the autotune record: one variant over one
+// region (the full horizon, one drift segment, or everything after the
+// first drift point).
+type autotuneRow struct {
+	Variant            string  `json:"variant"`
+	Tuned              bool    `json:"tuned,omitempty"`
+	Oracle             bool    `json:"oracle,omitempty"`
+	Budgets            [3]int  `json:"insert_budgets"`
+	Region             string  `json:"region"`
+	Ops                uint64  `json:"ops"`
+	Throughput         float64 `json:"throughput"`
+	Decisions          int     `json:"decisions,omitempty"`
+	InvariantViolation string  `json:"invariant_violation,omitempty"`
+}
+
+// Record encodes the comparison as an "autotune" benchmark record
+// (bench/AUTOTUNE_sweep.jsonl): the scenario header, then one row per
+// variant per region.
+func (r *AutotuneReport) Record() ([]byte, error) {
+	header := struct {
 		Scenario string   `json:"scenario"`
 		Threads  int      `json:"threads"`
 		Seed     uint64   `json:"seed"`
 		Horizon  int64    `json:"horizon"`
 		Bounds   []int64  `json:"bounds"`
 		Segments []string `json:"segments"`
-	}
-	h, err := json.Marshal(header{r.Scenario, r.Threads, r.Seed, r.Horizon, r.Bounds, r.Segments})
-	if err != nil {
-		return nil, err
-	}
-	b.Write(h)
-	b.WriteByte('\n')
-	type row struct {
-		Variant    string  `json:"variant"`
-		Tuned      bool    `json:"tuned,omitempty"`
-		Oracle     bool    `json:"oracle,omitempty"`
-		Budgets    [3]int  `json:"insert_budgets"`
-		Region     string  `json:"region"`
-		Ops        uint64  `json:"ops"`
-		Throughput float64 `json:"throughput"`
-		Decisions  int     `json:"decisions,omitempty"`
-	}
-	emit := func(rw row) error {
-		line, err := json.Marshal(rw)
-		if err != nil {
-			return err
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-		return nil
-	}
+	}{r.Scenario, r.Threads, r.Seed, r.Horizon, r.Bounds, r.Segments}
+	var rows []autotuneRow
 	for _, v := range r.Variants {
-		if err := emit(row{v.Name, v.Tuned, v.Oracle, v.Budgets, "total", v.Ops, v.Throughput, v.Decisions}); err != nil {
-			return nil, err
-		}
+		row := autotuneRow{Variant: v.Name, Tuned: v.Tuned, Oracle: v.Oracle, Budgets: v.Budgets}
+		total := row
+		total.Region, total.Ops, total.Throughput = "total", v.Ops, v.Throughput
+		total.Decisions, total.InvariantViolation = v.Decisions, v.InvariantViolation
+		rows = append(rows, total)
 		for s := range v.SegmentOps {
-			if err := emit(row{v.Name, v.Tuned, v.Oracle, v.Budgets, fmt.Sprintf("segment%d", s), v.SegmentOps[s], v.SegmentThroughput[s], 0}); err != nil {
-				return nil, err
-			}
+			seg := row
+			seg.Region, seg.Ops, seg.Throughput = fmt.Sprintf("segment%d", s), v.SegmentOps[s], v.SegmentThroughput[s]
+			rows = append(rows, seg)
 		}
-		var postOps uint64
+		post := row
+		post.Region, post.Throughput = "post-drift", v.PostDrift
 		for s := 1; s < len(v.SegmentOps); s++ {
-			postOps += v.SegmentOps[s]
+			post.Ops += v.SegmentOps[s]
 		}
-		if err := emit(row{v.Name, v.Tuned, v.Oracle, v.Budgets, "post-drift", postOps, v.PostDrift, 0}); err != nil {
-			return nil, err
-		}
+		rows = append(rows, post)
 	}
-	return []byte(b.String()), nil
+	return EncodeRecord("autotune", header, rows)
 }
 
 // Text renders the comparison as an aligned table plus the tuned run's

@@ -7,7 +7,7 @@ import (
 )
 
 // TestAutotuneDeterministicReplay pins the replay contract of the tuned run:
-// the same seed yields byte-identical sweep rows AND a byte-identical
+// the same seed yields a byte-identical record AND a byte-identical
 // decision journal, so every artifact in bench/ can be regenerated exactly.
 func TestAutotuneDeterministicReplay(t *testing.T) {
 	run := func() ([]byte, []byte) {
@@ -15,7 +15,7 @@ func TestAutotuneDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := rep.JSONL()
+		rows, err := rep.Record()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +28,7 @@ func TestAutotuneDeterministicReplay(t *testing.T) {
 	rows1, j1 := run()
 	rows2, j2 := run()
 	if !bytes.Equal(rows1, rows2) {
-		t.Errorf("sweep JSONL differs across identical seeds:\n%s\nvs\n%s", rows1, rows2)
+		t.Errorf("record differs across identical seeds:\n%s\nvs\n%s", rows1, rows2)
 	}
 	if !bytes.Equal(j1, j2) {
 		t.Errorf("decision journal differs across identical seeds:\n%s\nvs\n%s", j1, j2)
@@ -37,7 +37,7 @@ func TestAutotuneDeterministicReplay(t *testing.T) {
 
 // TestAutotuneReportShape checks the report surfaces every piece the tools
 // and CI gate consume: per-segment rows, the tuned variant, a traceable
-// journal, and the JSONL/text renderings.
+// journal, and the record/text renderings.
 func TestAutotuneReportShape(t *testing.T) {
 	rep, err := RunAutotune(10, Config{Horizon: 90_000, Seed: 3})
 	if err != nil {
@@ -64,12 +64,12 @@ func TestAutotuneReportShape(t *testing.T) {
 	if bs := rep.BestStatic(); bs == nil || bs.Tuned {
 		t.Fatal("BestStatic missing or tuned")
 	}
-	rows, err := rep.JSONL()
+	rows, err := rep.Record()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(rows), "HCF-tuned") {
-		t.Errorf("JSONL has no tuned rows:\n%s", rows)
+		t.Errorf("record has no tuned rows:\n%s", rows)
 	}
 	text := rep.Text()
 	for _, want := range []string{"HCF-tuned", "oracle", "post-drift"} {

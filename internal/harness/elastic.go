@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -31,10 +28,11 @@ type ElasticRunConfig struct {
 	// (default DefaultOpenLoopSLOThreshold). A window is "ok" iff its
 	// p99 is at or under the threshold.
 	SLOThreshold int64
-	// Gate is the post-heal throughput floor as a fraction of the
-	// balanced run's post-phase throughput (default 0.8).
-	Gate float64
 }
+
+// elasticHealGate is CheckElasticGate's post-heal throughput floor as a
+// fraction of the balanced run's post-phase throughput.
+const elasticHealGate = 0.8
 
 // ElasticDefaultRate is the checked-in figure's offered load
 // (ops/Mcycle): comfortably under the balanced multi-shard capacity,
@@ -65,9 +63,6 @@ func (c *ElasticRunConfig) normalize(horizon int64) {
 	}
 	if c.SLOThreshold <= 0 {
 		c.SLOThreshold = DefaultOpenLoopSLOThreshold
-	}
-	if c.Gate <= 0 {
-		c.Gate = 0.8
 	}
 }
 
@@ -324,9 +319,9 @@ func quantileSorted(sorted []int64, p float64) uint64 {
 	return uint64(sorted[i])
 }
 
-// ElasticReport is the three-mode healing comparison.
+// ElasticReport is the three-mode healing comparison; its record is
+// bench/ELASTIC_sweep.jsonl.
 type ElasticReport struct {
-	Figure       string         `json:"figure"`
 	Scenario     string         `json:"scenario"`
 	Threads      int            `json:"threads"`
 	Seed         uint64         `json:"seed"`
@@ -334,7 +329,6 @@ type ElasticReport struct {
 	Rate         float64        `json:"rate"`
 	Window       int64          `json:"window"`
 	SLOThreshold int64          `json:"slo_threshold"`
-	Gate         float64        `json:"gate"`
 	Points       []ElasticPoint `json:"-"`
 }
 
@@ -363,7 +357,6 @@ func RunElasticFigure(threads int, cfg Config, ec ElasticRunConfig) (*ElasticRep
 		{skewed, "elastic", true},
 	}
 	rep := &ElasticReport{
-		Figure:       "elastic",
 		Scenario:     skewed.Name,
 		Threads:      threads,
 		Seed:         cfg.Seed,
@@ -371,7 +364,6 @@ func RunElasticFigure(threads int, cfg Config, ec ElasticRunConfig) (*ElasticRep
 		Rate:         ec.Rate,
 		Window:       ec.Window,
 		SLOThreshold: ec.SLOThreshold,
-		Gate:         ec.Gate,
 		Points:       make([]ElasticPoint, len(modes)),
 	}
 	errs := make([]error, len(modes))
@@ -400,7 +392,7 @@ func RunElasticFigure(threads int, cfg Config, ec ElasticRunConfig) (*ElasticRep
 // CheckElasticGate verifies the healing story the figure exists to
 // demonstrate: the skew really hurt the frozen topology, the rebalancer
 // actually split, the verdict flipped back, and post-heal throughput
-// recovered to at least Gate × the balanced run's.
+// recovered to at least elasticHealGate × the balanced run's.
 func CheckElasticGate(r *ElasticReport) error {
 	byMode := map[string]*ElasticPoint{}
 	for i := range r.Points {
@@ -425,9 +417,9 @@ func CheckElasticGate(r *ElasticReport) error {
 	if elastic.BadWindows > 0 && !elastic.Healed {
 		fails = append(fails, fmt.Sprintf("elastic: verdict never flipped back (last bad window %d)", elastic.LastBad))
 	}
-	if elastic.PostThroughput < r.Gate*balanced.PostThroughput {
+	if elastic.PostThroughput < elasticHealGate*balanced.PostThroughput {
 		fails = append(fails, fmt.Sprintf("elastic: post-heal throughput %.1f < %.2fx balanced %.1f",
-			elastic.PostThroughput, r.Gate, balanced.PostThroughput))
+			elastic.PostThroughput, elasticHealGate, balanced.PostThroughput))
 	}
 	if len(fails) > 0 {
 		return fmt.Errorf("harness: elastic gate failed:\n  %s", strings.Join(fails, "\n  "))
@@ -435,51 +427,8 @@ func CheckElasticGate(r *ElasticReport) error {
 	return nil
 }
 
-// JSONL renders the report as one JSON object per line (header, then
-// one line per mode) — the format checked in under
-// bench/ELASTIC_sweep.jsonl.
-func (r *ElasticReport) JSONL() ([]byte, error) {
-	var b bytes.Buffer
-	h, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	b.Write(h)
-	b.WriteByte('\n')
-	for i := range r.Points {
-		line, err := json.Marshal(&r.Points[i])
-		if err != nil {
-			return nil, err
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	return b.Bytes(), nil
-}
-
-// ParseElasticJSONL parses a JSONL report back (the inverse of JSONL).
-func ParseElasticJSONL(data []byte) (*ElasticReport, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("harness: empty elastic JSONL")
-	}
-	var rep ElasticReport
-	if err := json.Unmarshal(sc.Bytes(), &rep); err != nil {
-		return nil, fmt.Errorf("harness: elastic JSONL header: %w", err)
-	}
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var p ElasticPoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			return nil, fmt.Errorf("harness: elastic JSONL row: %w", err)
-		}
-		rep.Points = append(rep.Points, p)
-	}
-	return &rep, sc.Err()
-}
+// Record encodes the report as an "elastic" benchmark record.
+func (r *ElasticReport) Record() ([]byte, error) { return EncodeRecord("elastic", r, r.Points) }
 
 // Text renders the report as a mode-per-block table with the window
 // verdict strip ('.' ok, 'X' missed, '-' empty).

@@ -92,22 +92,20 @@ func TestElasticJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &ElasticReport{
-		Figure: "elastic", Scenario: sc.Name, Threads: 4, Seed: 5,
+		Scenario: sc.Name, Threads: 4, Seed: 5,
 		Horizon: horizon, Rate: 4000, Window: horizon / 16,
-		SLOThreshold: DefaultOpenLoopSLOThreshold, Gate: 0.8,
+		SLOThreshold: DefaultOpenLoopSLOThreshold,
 		Points:       []ElasticPoint{p},
 	}
-	data, err := rep.JSONL()
+	data, err := rep.Record()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseElasticJSONL(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Points) != 1 || back.Points[0].Completed != p.Completed ||
-		back.Points[0].Mode != "balanced" || back.Rate != 4000 {
-		t.Fatalf("roundtrip mismatch: %+v", back)
+	var hdr ElasticReport
+	back := decodeRecord[ElasticPoint](t, data, "elastic", &hdr)
+	if len(back) != 1 || back[0].Completed != p.Completed ||
+		back[0].Mode != "balanced" || hdr.Rate != 4000 {
+		t.Fatalf("roundtrip mismatch: %+v %+v", hdr, back)
 	}
 	if rep.Text() == "" || len(rep.Results()) != 1 {
 		t.Fatal("renderers returned nothing")
@@ -120,7 +118,6 @@ func TestCheckElasticGateSemantics(t *testing.T) {
 	mk := func() *ElasticReport {
 		topo := &shard.Topology{Splits: 2}
 		return &ElasticReport{
-			Gate: 0.8,
 			Points: []ElasticPoint{
 				{Mode: "balanced", PostThroughput: 1000},
 				{Mode: "static", BadWindows: 5},

@@ -88,27 +88,27 @@ func FormatCSV(results []Result) string {
 // snake_case fields plus derived rates, so external tooling needs no
 // knowledge of internal types.
 type ResultRecord struct {
-	Scenario           string             `json:"scenario"`
-	Engine             string             `json:"engine"`
-	Threads            int                `json:"threads"`
-	Ops                uint64             `json:"ops"`
-	Cycles             int64              `json:"cycles"`
-	Throughput         float64            `json:"throughput"`
-	LockAcquisitions   uint64             `json:"lock_acquisitions"`
-	AuxAcquisitions    uint64             `json:"aux_acquisitions"`
-	CombinerSessions   uint64             `json:"combiner_sessions"`
-	CombinedOps        uint64             `json:"combined_ops"`
-	CombiningDegree    float64            `json:"combining_degree"`
-	HTMStarted         uint64             `json:"htm_started"`
-	HTMCommits         uint64             `json:"htm_commits"`
-	HTMAborts          map[string]uint64  `json:"htm_aborts,omitempty"`
-	Loads              uint64             `json:"loads"`
-	Stores             uint64             `json:"stores"`
-	L1MissRate         float64            `json:"l1_miss_rate"`
-	CoherenceMisses    uint64             `json:"coherence_misses"`
-	RemoteMisses       uint64             `json:"remote_misses"`
+	Scenario           string              `json:"scenario"`
+	Engine             string              `json:"engine"`
+	Threads            int                 `json:"threads"`
+	Ops                uint64              `json:"ops"`
+	Cycles             int64               `json:"cycles"`
+	Throughput         float64             `json:"throughput"`
+	LockAcquisitions   uint64              `json:"lock_acquisitions"`
+	AuxAcquisitions    uint64              `json:"aux_acquisitions"`
+	CombinerSessions   uint64              `json:"combiner_sessions"`
+	CombinedOps        uint64              `json:"combined_ops"`
+	CombiningDegree    float64             `json:"combining_degree"`
+	HTMStarted         uint64              `json:"htm_started"`
+	HTMCommits         uint64              `json:"htm_commits"`
+	HTMAborts          map[string]uint64   `json:"htm_aborts,omitempty"`
+	Loads              uint64              `json:"loads"`
+	Stores             uint64              `json:"stores"`
+	L1MissRate         float64             `json:"l1_miss_rate"`
+	CoherenceMisses    uint64              `json:"coherence_misses"`
+	RemoteMisses       uint64              `json:"remote_misses"`
 	PhaseByClass       []map[string]uint64 `json:"phase_by_class,omitempty"`
-	InvariantViolation string             `json:"invariant_violation,omitempty"`
+	InvariantViolation string              `json:"invariant_violation,omitempty"`
 }
 
 // RecordOf converts a Result to its machine-readable record.
@@ -163,19 +163,23 @@ func FormatJSON(r Result) (string, error) {
 	return string(out) + "\n", nil
 }
 
-// FormatJSONL renders results as JSON Lines: one compact record per
-// (scenario, engine, threads) cell.
-func FormatJSONL(results []Result) (string, error) {
-	var b strings.Builder
-	for _, r := range results {
-		out, err := json.Marshal(RecordOf(r))
-		if err != nil {
-			return "", err
-		}
-		b.Write(out)
-		b.WriteByte('\n')
+// SweepConfig is the header config of a figure-sweep record: the thread
+// and engine grid actually run, and the measurement window.
+type SweepConfig struct {
+	Threads []int    `json:"threads,omitempty"`
+	Engines []string `json:"engines,omitempty"`
+	Horizon int64    `json:"horizon"`
+	Seed    uint64   `json:"seed"`
+}
+
+// EncodeResults encodes sweep rows as a benchmark record: one compact
+// ResultRecord line per (scenario, engine, threads) cell.
+func EncodeResults(figure string, cfg SweepConfig, results []Result) ([]byte, error) {
+	recs := make([]ResultRecord, len(results))
+	for i, r := range results {
+		recs[i] = RecordOf(r)
 	}
-	return b.String(), nil
+	return EncodeRecord(figure, cfg, recs)
 }
 
 // classGroup maps the hash-table classes onto Figure 3's three panels.

@@ -13,7 +13,7 @@ func kvTestOptions() KVSweepOptions {
 		Workers: 4,
 		Shards:  2,
 		// High enough that each 60ms point clears kvGateMinSamples
-		// (so the baseline tests exercise the ratio gate, not the
+		// (so the self-gate exercises the ratio gate, not the
 		// small-sample exclusion).
 		Users:       []uint64{10000, 20000},
 		GetPcts:     []int{90},
@@ -67,55 +67,36 @@ func TestKVSweepSmoke(t *testing.T) {
 	}
 }
 
+// TestKVJSONLRoundTripAndBaseline round-trips the sweep through its
+// record and gates the record against itself (the gate's cases live in
+// TestGateRecord).
 func TestKVJSONLRoundTripAndBaseline(t *testing.T) {
 	rep, err := RunKVSweep(kvTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := rep.JSONL()
+	data, err := rep.Record()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseKVJSONL(data)
-	if err != nil {
-		t.Fatal(err)
+	var hdr KVReport
+	back := decodeRecord[KVPoint](t, data, "kv", &hdr)
+	if len(back) != len(rep.Points) || hdr.Workers != rep.Workers || hdr.Seed != rep.Seed {
+		t.Fatalf("round trip mismatch: %d points, workers %d", len(back), hdr.Workers)
 	}
-	if len(back.Points) != len(rep.Points) || back.Workers != rep.Workers || back.Seed != rep.Seed {
-		t.Fatalf("round trip mismatch: %d points, workers %d", len(back.Points), back.Workers)
-	}
-	for i := range back.Points {
-		if back.Points[i].Sojourn.P99 != rep.Points[i].Sojourn.P99 {
+	for i := range back {
+		if back[i].Sojourn.P99 != rep.Points[i].Sojourn.P99 {
 			t.Fatalf("point %d p99 changed across round trip", i)
 		}
 	}
-
-	// Self-comparison passes at any tolerance.
-	n, err := CompareKVBaseline(back, rep, 2)
-	if err != nil || n != len(rep.Points) {
-		t.Fatalf("self-compare: n=%d err=%v", n, err)
+	rec, err := ParseRecord(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A single point pushed far beyond the median ratio fails the gate.
-	worse := *back
-	worse.Points = append([]KVPoint(nil), back.Points...)
-	worse.Points[0].Sojourn.P99 *= 100
-	if _, err := CompareKVBaseline(&worse, rep, 2); err == nil {
-		t.Fatal("100x p99 regression passed the baseline gate")
+	if err := CheckRecord(rec); err != nil {
+		t.Fatal(err)
 	}
-	// Below the sample floor the same regression is excluded from the
-	// ratio gate: short-window p99s are top-two order statistics.
-	tiny := *back
-	tiny.Points = append([]KVPoint(nil), back.Points...)
-	tiny.Points[0].Sojourn.Count = kvGateMinSamples - 1
-	tiny.Points[0].Sojourn.P99 = back.Points[0].Sojourn.P99 * 100
-	if n, err := CompareKVBaseline(&tiny, rep, 2); err != nil || n != len(rep.Points)-1 {
-		t.Fatalf("small-sample point not excluded from ratio gate: n=%d err=%v", n, err)
-	}
-	// A failed recovery check fails unconditionally.
-	broken := *back
-	broken.Points = append([]KVPoint(nil), back.Points...)
-	broken.Points[1].RecoveryOK = false
-	if _, err := CompareKVBaseline(&broken, rep, 2); err == nil ||
-		!strings.Contains(err.Error(), "recovery") {
-		t.Fatalf("recovery failure not gated: %v", err)
+	if _, err := GateRecord(rec, rec); err != nil {
+		t.Fatalf("self-gate: %v", err)
 	}
 }

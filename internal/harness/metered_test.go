@@ -90,11 +90,7 @@ func TestFormatJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := FormatJSONL(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
+	lines := strings.Split(strings.TrimSpace(resultLines(t, results)), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("got %d JSONL lines, want 4", len(lines))
 	}

@@ -6,14 +6,13 @@ package harness
 // read/write mixes, measuring real operations per second over fixed
 // timed windows. This is the wall-clock counterpart of the simulated
 // figure sweeps: no cycle model, just the host clock, which also makes
-// the numbers hardware-dependent. CompareNativeBaseline therefore
+// the numbers hardware-dependent. The record gate (GateRecord) therefore
 // normalizes by the median point ratio before judging regressions, so a
 // checked-in baseline from one box remains usable as a CI gate on
 // another.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -80,21 +79,16 @@ type NativePoint struct {
 	OpsPerSec  float64 `json:"ops_per_sec"`
 }
 
-// NativeReport is the machine-readable record of one sweep
-// (bench/BENCH_native.json).
+// NativeReport is one sweep; its record is bench/BENCH_native.jsonl.
 type NativeReport struct {
-	Kind       string        `json:"kind"` // "hcf-native-bench"
-	Note       string        `json:"note,omitempty"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
 	DurationMS int64         `json:"point_duration_ms"`
 	Keyspace   int           `json:"keyspace"`
 	WallSec    float64       `json:"wall_seconds"`
-	Points     []NativePoint `json:"points"`
+	Points     []NativePoint `json:"-"`
 }
 
-// NativeReportKind is the Kind value RunNativeSweep stamps.
-const NativeReportKind = "hcf-native-bench"
+// Record encodes the sweep as a "native" benchmark record.
+func (r *NativeReport) Record() ([]byte, error) { return EncodeRecord("native", r, r.Points) }
 
 // nativeWorker is one goroutine's operation loop state.
 type nativeWorker struct {
@@ -352,9 +346,6 @@ func measurePoint(eng nativeEngine, goroutines int, warmup, window time.Duration
 func RunNativeSweep(opts NativeOptions) (*NativeReport, error) {
 	opts.normalize()
 	rep := &NativeReport{
-		Kind:       NativeReportKind,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
 		DurationMS: opts.Duration.Milliseconds(),
 		Keyspace:   opts.Keyspace,
 	}
@@ -404,7 +395,7 @@ func RunNativeSweep(opts NativeOptions) (*NativeReport, error) {
 func FormatNativeReport(rep *NativeReport) string {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "native wall-clock sweep: GOMAXPROCS=%d NumCPU=%d window=%dms\n",
-		rep.GoMaxProcs, rep.NumCPU, rep.DurationMS)
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), rep.DurationMS)
 	type cell struct {
 		structure string
 		readPct   int
@@ -456,88 +447,4 @@ func FormatNativeReport(rep *NativeReport) string {
 		}
 	}
 	return buf.String()
-}
-
-// ParseNativeReport decodes a report, checking its kind.
-func ParseNativeReport(data []byte) (*NativeReport, error) {
-	var rep NativeReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, err
-	}
-	if rep.Kind != NativeReportKind {
-		return nil, fmt.Errorf("record kind %q, want %q", rep.Kind, NativeReportKind)
-	}
-	if len(rep.Points) == 0 {
-		return nil, fmt.Errorf("record has no points")
-	}
-	return &rep, nil
-}
-
-// CompareNativeBaseline judges a fresh sweep against a checked-in
-// baseline. Wall-clock throughput shifts wholesale with the hardware the
-// sweep runs on, so absolute thresholds are useless as a cross-machine
-// gate; instead every matched point's fresh/base ratio is normalized by
-// the median ratio (which absorbs the overall hardware factor) and a
-// point fails when it degraded to less than 1/tolerance of that median —
-// i.e. only *relative* regressions concentrated in some cells trip the
-// gate. Returns the matched count alongside any failure.
-func CompareNativeBaseline(fresh, base *NativeReport, tolerance float64) (int, error) {
-	if tolerance <= 1 {
-		tolerance = 2
-	}
-	type key struct {
-		structure, engine string
-		goroutines, pct   int
-	}
-	baseRate := map[key]float64{}
-	for _, p := range base.Points {
-		baseRate[key{p.Structure, p.Engine, p.Goroutines, p.ReadPct}] = p.OpsPerSec
-	}
-	type matched struct {
-		k     key
-		ratio float64
-	}
-	var ms []matched
-	for _, p := range fresh.Points {
-		k := key{p.Structure, p.Engine, p.Goroutines, p.ReadPct}
-		if b, ok := baseRate[k]; ok && b > 0 && p.OpsPerSec > 0 {
-			ms = append(ms, matched{k, p.OpsPerSec / b})
-		}
-	}
-	if len(ms) == 0 {
-		return 0, fmt.Errorf("no points in common with the baseline")
-	}
-	ratios := make([]float64, len(ms))
-	for i, m := range ms {
-		ratios[i] = m.ratio
-	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	if median == 0 {
-		return len(ms), fmt.Errorf("median point ratio is zero")
-	}
-	var fails []string
-	for _, m := range ms {
-		if m.ratio < median/tolerance {
-			fails = append(fails, fmt.Sprintf(
-				"%s/%s g=%d read=%d%%: %.2fx of baseline vs median %.2fx",
-				m.k.structure, m.k.engine, m.k.goroutines, m.k.pct, m.ratio, median))
-		}
-	}
-	if len(fails) > 0 {
-		return len(ms), fmt.Errorf("%d/%d points regressed more than %.1fx below the median ratio:\n  %s",
-			len(fails), len(ms), tolerance, joinLines(fails))
-	}
-	return len(ms), nil
-}
-
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += s
-	}
-	return out
 }

@@ -1,14 +1,13 @@
 package harness
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestRunNativeSweepSmoke runs a tiny sweep end to end: every expected
-// cell present, nonzero throughput, JSON round trip, text renderer.
+// cell present, nonzero throughput, record round trip, text renderer.
 func TestRunNativeSweepSmoke(t *testing.T) {
 	rep, err := RunNativeSweep(NativeOptions{
 		Goroutines: []int{1, 2},
@@ -28,16 +27,12 @@ func TestRunNativeSweepSmoke(t *testing.T) {
 			t.Fatalf("empty point: %+v", p)
 		}
 	}
-	data, err := json.Marshal(rep)
+	data, err := rep.Record()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseNativeReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Points) != len(rep.Points) {
-		t.Fatalf("round trip lost points: %d != %d", len(back.Points), len(rep.Points))
+	if back := decodeRecord[NativePoint](t, data, "native", nil); len(back) != len(rep.Points) {
+		t.Fatalf("round trip lost points: %d != %d", len(back), len(rep.Points))
 	}
 	text := FormatNativeReport(rep)
 	for _, want := range []string{NativeEngineHCF, NativeEngineMutex, "HCF/Mutex", NativeStructPQ} {
@@ -47,54 +42,52 @@ func TestRunNativeSweepSmoke(t *testing.T) {
 	}
 }
 
+// nativeRecord encodes a native report through its Record method and reads
+// it back with the one record reader.
+func nativeRecord(t *testing.T, pts []NativePoint) *Record {
+	t.Helper()
+	return readBack(t, (&NativeReport{Points: pts}).Record)
+}
+
+// TestParseNativeReportRejectsWrongKind: the reader rejects the old
+// headerless native report, and the gate rejects a native baseline with
+// no points or a record of another figure.
 func TestParseNativeReportRejectsWrongKind(t *testing.T) {
-	if _, err := ParseNativeReport([]byte(`{"kind":"other","points":[{}]}`)); err == nil {
-		t.Fatal("wrong kind accepted")
+	if _, err := ParseRecord([]byte(`{"kind":"other","points":[{}]}`)); err == nil {
+		t.Fatal("record without a figure accepted")
 	}
-	if _, err := ParseNativeReport([]byte(`{"kind":"hcf-native-bench","points":[]}`)); err == nil {
-		t.Fatal("empty points accepted")
+	fresh := nativeRecord(t, nativePoints(1, nil))
+	if _, err := GateRecord(fresh, nativeRecord(t, []NativePoint{})); err == nil {
+		t.Fatal("empty native baseline accepted")
+	}
+	if _, err := GateRecord(fresh, mustRecord(t, "kv", struct{}{}, kvPoints(1000, 100))); err == nil {
+		t.Fatal("native record gated against a kv baseline")
 	}
 }
 
-func syntheticReport(scale float64) *NativeReport {
-	rep := &NativeReport{Kind: NativeReportKind}
-	for _, g := range []int{1, 2, 4} {
-		for _, e := range []string{NativeEngineHCF, NativeEngineMutex} {
-			rep.Points = append(rep.Points, NativePoint{
-				Structure: NativeStructHash, Engine: e, Goroutines: g, ReadPct: 50,
-				Ops: 1000, OpsPerSec: scale * float64(1000*g),
-			})
-		}
-	}
-	return rep
-}
-
-// TestCompareNativeBaseline pins the median-normalization semantics: a
-// uniform hardware-speed shift passes at any magnitude; one point
-// collapsing relative to the rest fails.
+// TestCompareNativeBaseline pins the median normalization on records made
+// by NativeReport: a uniform hardware-speed shift passes at any
+// magnitude; one point collapsing relative to the rest fails.
 func TestCompareNativeBaseline(t *testing.T) {
-	base := syntheticReport(1)
+	base := nativeRecord(t, nativePoints(1, nil))
 
 	// 5x faster across the board: a faster machine, not a regression.
-	if n, err := CompareNativeBaseline(syntheticReport(5), base, 2); err != nil || n != 6 {
-		t.Fatalf("uniform speedup rejected: n=%d err=%v", n, err)
+	if sum, err := GateRecord(nativeRecord(t, nativePoints(5, nil)), base); err != nil || !strings.HasPrefix(sum, "6 points") {
+		t.Fatalf("uniform speedup rejected: %q, %v", sum, err)
 	}
 	// 10x slower across the board: a slower machine, still fine.
-	if _, err := CompareNativeBaseline(syntheticReport(0.1), base, 2); err != nil {
+	if _, err := GateRecord(nativeRecord(t, nativePoints(0.1, nil)), base); err != nil {
 		t.Fatalf("uniform slowdown rejected: %v", err)
 	}
 	// One point collapsed to 1/10 of its baseline while the rest held:
 	// that is a real relative regression and must fail.
-	fresh := syntheticReport(1)
-	fresh.Points[0].OpsPerSec /= 10
-	if _, err := CompareNativeBaseline(fresh, base, 2); err == nil {
+	fresh := nativeRecord(t, nativePoints(1, func(p []NativePoint) { p[0].OpsPerSec /= 10 }))
+	if _, err := GateRecord(fresh, base); err == nil {
 		t.Fatal("collapsed point passed the gate")
 	}
 	// Disjoint reports cannot be compared.
-	disjoint := &NativeReport{Kind: NativeReportKind, Points: []NativePoint{
-		{Structure: "other", Engine: "x", Goroutines: 1, ReadPct: 1, OpsPerSec: 1},
-	}}
-	if _, err := CompareNativeBaseline(disjoint, base, 2); err == nil {
+	disjoint := nativeRecord(t, []NativePoint{{Structure: "other", Engine: "x", Goroutines: 1, ReadPct: 1, OpsPerSec: 1}})
+	if _, err := GateRecord(disjoint, base); err == nil {
 		t.Fatal("disjoint reports compared successfully")
 	}
 }

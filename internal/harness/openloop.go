@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -379,8 +376,8 @@ func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, o
 }
 
 // OpenLoopReport is a full offered-load sweep: every engine at every rate.
+// Its record is bench/OPENLOOP_sweep.jsonl.
 type OpenLoopReport struct {
-	Figure   string          `json:"figure"`
 	Scenario string          `json:"scenario"`
 	Threads  int             `json:"threads"`
 	Seed     uint64          `json:"seed"`
@@ -411,7 +408,6 @@ func RunOpenLoopSweep(sc Scenario, engineNames []string, rates []float64, thread
 		}
 	}
 	rep := &OpenLoopReport{
-		Figure:   "openloop",
 		Scenario: sc.Name,
 		Threads:  threads,
 		Seed:     cfg.Seed,
@@ -471,27 +467,8 @@ func RunOpenLoopSweep(sc Scenario, engineNames []string, rates []float64, thread
 	return rep, nil
 }
 
-// JSONL renders the sweep as one JSON object per line: a header describing
-// the configuration, then one line per (rate, engine) point — the format
-// checked in under bench/OPENLOOP_sweep.jsonl.
-func (r *OpenLoopReport) JSONL() ([]byte, error) {
-	var b bytes.Buffer
-	h, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	b.Write(h)
-	b.WriteByte('\n')
-	for i := range r.Points {
-		line, err := json.Marshal(&r.Points[i])
-		if err != nil {
-			return nil, err
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	return b.Bytes(), nil
-}
+// Record encodes the sweep as an "openloop" benchmark record.
+func (r *OpenLoopReport) Record() ([]byte, error) { return EncodeRecord("openloop", r, r.Points) }
 
 // Text renders the sweep as an aligned table, one block per engine.
 func (r *OpenLoopReport) Text() string {
@@ -523,64 +500,6 @@ func (r *OpenLoopReport) Text() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// ParseOpenLoopJSONL parses a JSONL sweep back into a report (the inverse
-// of JSONL, for baseline comparison).
-func ParseOpenLoopJSONL(data []byte) (*OpenLoopReport, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("harness: empty open-loop JSONL")
-	}
-	var rep OpenLoopReport
-	if err := json.Unmarshal(sc.Bytes(), &rep); err != nil {
-		return nil, fmt.Errorf("harness: open-loop JSONL header: %w", err)
-	}
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var p OpenLoopPoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			return nil, fmt.Errorf("harness: open-loop JSONL row: %w", err)
-		}
-		rep.Points = append(rep.Points, p)
-	}
-	return &rep, sc.Err()
-}
-
-// CompareOpenLoopBaseline fails if any point in current has sojourn p99
-// above maxRatio times the matching (engine, rate, threads) baseline point.
-// Points without a baseline match are ignored (new rates or engines are not
-// regressions). On the deterministic simulator results are bit-identical
-// run to run, so a trip means the code changed the latency profile.
-func CompareOpenLoopBaseline(current, baseline *OpenLoopReport, maxRatio float64) error {
-	type key struct {
-		engine  string
-		rate    float64
-		threads int
-	}
-	base := map[key]OpenLoopPoint{}
-	for _, p := range baseline.Points {
-		base[key{p.Engine, p.Rate, p.Threads}] = p
-	}
-	var fails []string
-	for _, p := range current.Points {
-		bp, ok := base[key{p.Engine, p.Rate, p.Threads}]
-		if !ok {
-			continue
-		}
-		if bp.Sojourn.P99 > 0 && float64(p.Sojourn.P99) > maxRatio*float64(bp.Sojourn.P99) {
-			fails = append(fails, fmt.Sprintf(
-				"%s @ rate %.0f: sojourn p99 %d vs baseline %d (> %.2fx)",
-				p.Engine, p.Rate, p.Sojourn.P99, bp.Sojourn.P99, maxRatio))
-		}
-	}
-	if len(fails) > 0 {
-		return fmt.Errorf("harness: open-loop p99 regression:\n  %s", strings.Join(fails, "\n  "))
-	}
-	return nil
 }
 
 // OpenLoopDefaultRates is the checked-in sweep's offered-load ladder

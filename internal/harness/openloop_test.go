@@ -91,8 +91,8 @@ func TestOpenLoopSaturationShape(t *testing.T) {
 	}
 }
 
-// TestOpenLoopSweepParallelBitIdentical is the determinism gate: the JSONL
-// sweep must be byte-identical for a fixed seed whether points run serially
+// TestOpenLoopSweepParallelBitIdentical is the determinism gate: the
+// sweep's record must be byte-identical for a fixed seed whether points run serially
 // or concurrently across host cores.
 func TestOpenLoopSweepParallelBitIdentical(t *testing.T) {
 	cfg, ol, rates, engines := olTestConfig()
@@ -107,11 +107,11 @@ func TestOpenLoopSweepParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sj, err := serial.JSONL()
+	sj, err := serial.Record()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := parallel.JSONL()
+	pj, err := parallel.Record()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,31 +126,29 @@ func TestOpenLoopJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := rep.JSONL()
+	data, err := rep.Record()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseOpenLoopJSONL(data)
-	if err != nil {
-		t.Fatal(err)
+	var hdr OpenLoopReport
+	points := decodeRecord[OpenLoopPoint](t, data, "openloop", &hdr)
+	if hdr.Scenario != rep.Scenario || hdr.Threads != rep.Threads || hdr.Seed != rep.Seed {
+		t.Fatalf("header round-trip mismatch: %+v vs %+v", hdr, rep)
 	}
-	if back.Scenario != rep.Scenario || back.Threads != rep.Threads || back.Seed != rep.Seed {
-		t.Fatalf("header round-trip mismatch: %+v vs %+v", back, rep)
+	if len(points) != len(rep.Points) {
+		t.Fatalf("points round-trip: %d vs %d", len(points), len(rep.Points))
 	}
-	if len(back.Points) != len(rep.Points) {
-		t.Fatalf("points round-trip: %d vs %d", len(back.Points), len(rep.Points))
-	}
-	for i := range back.Points {
-		if back.Points[i].Engine != rep.Points[i].Engine ||
-			back.Points[i].Rate != rep.Points[i].Rate ||
-			back.Points[i].Sojourn.P99 != rep.Points[i].Sojourn.P99 {
+	for i := range points {
+		if points[i].Engine != rep.Points[i].Engine ||
+			points[i].Rate != rep.Points[i].Rate ||
+			points[i].Sojourn.P99 != rep.Points[i].Sojourn.P99 {
 			t.Fatalf("point %d round-trip mismatch", i)
 		}
 	}
-	// Verdicts survive the JSONL round trip (acceptance: verdicts present
+	// Verdicts survive the record round trip (acceptance: verdicts present
 	// in the output).
 	var sawVerdict bool
-	for _, p := range back.Points {
+	for _, p := range points {
 		if p.SLO != nil && len(p.SLO.Verdicts) > 0 {
 			sawVerdict = true
 		}
@@ -163,20 +161,23 @@ func TestOpenLoopJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenLoopBaselineComparison gates a real open-loop sweep through its
+// record: openloop is a simulator figure, so the gate is exact.
 func TestOpenLoopBaselineComparison(t *testing.T) {
 	cfg, ol, _, _ := olTestConfig()
 	rep, err := RunOpenLoopSweep(OpenLoopScenario(), []string{"Lock"}, []float64{1500}, 12, cfg, ol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CompareOpenLoopBaseline(rep, rep, 1.25); err != nil {
+	base := readBack(t, rep.Record)
+	if _, err := GateRecord(base, base); err != nil {
 		t.Fatalf("self-comparison must pass: %v", err)
 	}
 	worse := *rep
 	worse.Points = append([]OpenLoopPoint(nil), rep.Points...)
-	worse.Points[0].Sojourn.P99 = rep.Points[0].Sojourn.P99 * 2
-	if err := CompareOpenLoopBaseline(&worse, rep, 1.25); err == nil {
-		t.Fatal("2x p99 regression must fail the gate")
+	worse.Points[0].Sojourn.P99++
+	if _, err := GateRecord(readBack(t, worse.Record), base); err == nil {
+		t.Fatal("a changed p99 must fail the exact gate")
 	}
 	// Points missing from the baseline are not regressions.
 	extra := *rep
@@ -184,7 +185,7 @@ func TestOpenLoopBaselineComparison(t *testing.T) {
 		Engine: "HCF", Rate: 9999, Threads: 12,
 		Sojourn: SojournStat{P99: 1 << 40},
 	})
-	if err := CompareOpenLoopBaseline(&extra, rep, 1.25); err != nil {
+	if _, err := GateRecord(readBack(t, extra.Record), base); err != nil {
 		t.Fatalf("unmatched point must be ignored: %v", err)
 	}
 }

@@ -40,10 +40,7 @@ func TestGoldenResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := FormatJSONL(results)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := resultLines(t, results)
 			if got != string(want) {
 				t.Errorf("results diverged from golden %s;\ngot:\n%s\nwant:\n%s",
 					tc.file, got, want)

@@ -8,8 +8,8 @@ package native_test
 //
 //	go test -bench 'Map/' -benchtime 200ms ./native/
 //
-// The checked-in sweep (bench/BENCH_native.json, produced by
-// `hcfbench -fig native`) covers the same grid with fixed-duration
+// The checked-in sweep (bench/BENCH_native.jsonl, produced by
+// `hcfbench -fig native -json`) covers the same grid with fixed-duration
 // windows; these benchmarks are the interactive/profiling entry point.
 
 import (
