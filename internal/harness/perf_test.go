@@ -5,28 +5,39 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"hcf/internal/memsim"
 )
 
 // TestGoldenResults pins the simulated results of fixed-seed reference
 // sweeps — every engine, several structures — to golden files recorded
 // before the host-side performance work (run-until-preempted scheduling,
-// passive spin-waits, pooled HTM read/write sets). Any divergence means a
-// host-side optimization changed simulated behaviour, which is a bug by
-// definition: these optimizations must be invisible at the cycle level.
+// passive spin-waits and their stepping up to the next possible writer,
+// pooled HTM read/write sets). Any divergence means a host-side
+// optimization changed simulated behaviour, which is a bug by definition:
+// these optimizations must be invisible at the cycle level. The 8- to
+// 72-thread and explored cases cover the convoys of passive waiters that
+// barely form at 4 threads.
 func TestGoldenResults(t *testing.T) {
 	cases := []struct {
+		name    string
 		file    string
 		fig     string
 		threads []int
 		horizon int64
 		seed    uint64
+		explore memsim.ExploreConfig // non-zero: one explored point per engine
 	}{
-		{"golden_hashtable40.jsonl", "2c", []int{1, 2, 4}, 50_000, 1},
-		{"golden_avl40.jsonl", "5b", []int{1, 4}, 30_000, 7},
-		{"golden_pqueue.jsonl", "pqueue", []int{3}, 30_000, 5},
+		{"2c", "golden_hashtable40.jsonl", "2c", []int{1, 2, 4}, 50_000, 1, memsim.ExploreConfig{}},
+		{"5b", "golden_avl40.jsonl", "5b", []int{1, 4}, 30_000, 7, memsim.ExploreConfig{}},
+		{"pqueue", "golden_pqueue.jsonl", "pqueue", []int{3}, 30_000, 5, memsim.ExploreConfig{}},
+		{"2c-wide", "golden_hashtable40_wide.jsonl", "2c", []int{8, 36}, 50_000, 1, memsim.ExploreConfig{}},
+		{"2b-72", "golden_hashtable80_numa72.jsonl", "2b", []int{72}, 30_000, 3, memsim.ExploreConfig{}},
+		{"2c-explored", "golden_hashtable40_explored12.jsonl", "2c", []int{12}, 30_000, 11,
+			memsim.ExploreConfig{Seed: 17, PreemptBudget: 48, JitterClass: 2}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.fig, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
 			if err != nil {
 				t.Fatal(err)
@@ -36,7 +47,13 @@ func TestGoldenResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			fig.Threads = tc.threads
-			results, err := RunFigure(fig, Config{Horizon: tc.horizon, Seed: tc.seed})
+			cfg := Config{Horizon: tc.horizon, Seed: tc.seed}
+			var results []Result
+			if tc.explore == (memsim.ExploreConfig{}) {
+				results, err = RunFigure(fig, cfg)
+			} else {
+				results, err = exploredFigure(fig, cfg, tc.explore)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,6 +64,22 @@ func TestGoldenResults(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exploredFigure measures every engine of a single-cost-model figure at
+// each thread count under schedule exploration ex.
+func exploredFigure(fig Figure, cfg Config, ex memsim.ExploreConfig) ([]Result, error) {
+	var results []Result
+	for _, th := range fig.Threads {
+		for _, eng := range fig.Engines {
+			r, _, _, err := RunPointWith(fig.Scenario, eng, th, cfg, PointOptions{Explore: ex})
+			if err != nil {
+				return nil, err
+			}
+			results = append(results, r)
+		}
+	}
+	return results, nil
 }
 
 // TestRunSweepParallelMatchesSerial checks that measuring sweep points
