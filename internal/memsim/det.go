@@ -63,6 +63,13 @@ type DetConfig struct {
 // central scheduler loop. The thread selected at every scheduling point is
 // identical to the classic pop-min design, so simulated results are
 // bit-for-bit unchanged; only host time is saved.
+//
+// Threads in a passive spin-wait (SpinLoadUntilEq, SpinUntilEitherEq) are
+// stepped inline by the scheduler, and a waiter at the heap top is stepped
+// in a tight loop up to the next entry that could write (see dispatch)
+// rather than re-heaped after every quantum. That too is exact: a waiter's
+// step touches only its own clock, cache, jitter state and counters, and a
+// predicate that is false stays false until some active thread writes.
 type DetEnv struct {
 	n    int
 	cost CostParams
@@ -88,15 +95,15 @@ type DetEnv struct {
 	// Schedule exploration (see explore.go). Both stay nil with a zero
 	// DetConfig.Explore, keeping the scheduler's fast paths untouched.
 	exp   *explore
-	boost []int64 // per-thread priority offsets added to heap comparisons
+	boost []int64 // per-thread priority offsets added to heap keys
 }
 
 // detWait is a worker thread's declarative wait state. While passive, the
 // thread's goroutine stays parked and its spin-loop events (access charges,
-// seqlock reads, yield charges) are executed inline — one step per
-// scheduling quantum — by whichever goroutine is driving the scheduler at
-// that moment. The step stream is bit-identical to the open-coded spin loop
-// the primitive replaces; only the host context switches are elided.
+// seqlock reads, yield charges) are executed inline, one scheduling quantum
+// per step, by whichever goroutine is driving the scheduler at that moment.
+// The step stream is bit-identical to the open-coded spin loop the
+// primitive replaces; only the host context switches are elided.
 type detWait struct {
 	passive bool
 	kind    uint8
@@ -173,7 +180,6 @@ func NewDet(cfg DetConfig) *DetEnv {
 		}
 		e.boost = make([]int64, cfg.Threads)
 	}
-	e.sched.env = e
 	return e
 }
 
@@ -220,7 +226,11 @@ func (e *DetEnv) Run(body func(th *Thread)) {
 	if e.exp != nil {
 		e.resetExplore() // draw initial priorities before the heap is built
 	}
-	e.sched.reset(e.n)
+	e.sched.ents = e.sched.ents[:0]
+	for i := 0; i < e.n; i++ {
+		e.sched.ents = append(e.sched.ents, detEnt{e.key(i), int32(i)})
+	}
+	e.sched.heapify()
 	e.resume[e.dispatch()] <- struct{}{}
 	<-e.done
 	e.running = false
@@ -252,15 +262,23 @@ func (e *DetEnv) schedPoint(t int) {
 		e.explorePoint(t)
 		return
 	}
-	ids := e.sched.ids
-	if len(ids) == 0 {
+	ents := e.sched.ents
+	if len(ents) == 0 {
 		return // only runnable thread
 	}
-	m := ids[0]
-	if ct, cm := e.clocks[t], e.clocks[m]; ct < cm || (ct == cm && t < int(m)) {
+	m := ents[0]
+	if ct := e.clocks[t]; ct < m.key || (ct == m.key && t < int(m.id)) {
 		return // still the minimum: keep running
 	}
 	e.switchTo(t)
+}
+
+// key returns thread t's heap key: its clock plus its exploration boost.
+func (e *DetEnv) key(t int) int64 {
+	if e.boost != nil {
+		return e.clocks[t] + e.boost[t]
+	}
+	return e.clocks[t]
 }
 
 // switchTo re-enters the scheduler from thread t. If the next thread due to
@@ -270,7 +288,7 @@ func (e *DetEnv) schedPoint(t int) {
 // parks until it is scheduled — or, if t is a passive waiter, until its wait
 // completes.
 func (e *DetEnv) switchTo(t int) {
-	e.sched.push(int32(t))
+	e.sched.push(detEnt{e.key(t), int32(t)})
 	next := e.dispatch()
 	if int(next) == t {
 		return
@@ -280,27 +298,86 @@ func (e *DetEnv) switchTo(t int) {
 }
 
 // dispatch drives the schedule until an active (non-waiting) thread is the
-// minimum-(clock, id) runnable thread and pops it, executing passive
-// waiters' spin-loop steps inline on the calling goroutine along the way.
-// Returns -1 when no runnable thread remains.
+// minimum-(key, id) runnable thread and pops it, executing passive waiters'
+// spin-loop steps inline on the calling goroutine along the way. Returns -1
+// when no runnable thread remains.
+//
+// A passive top is not re-heaped after every step. dispatch first finds
+// bound, the least entry that is active or whose predicate already holds
+// in memory (mayWake), and steps the top in a tight loop until its key
+// passes bound, then sifts it down once. Every entry below bound is a
+// passive waiter whose predicate is false; its steps touch only its own
+// clock, cache, jitter state and counters, and nothing writes memory until
+// bound runs. So stepping each of them straight up to bound leaves every
+// thread in exactly the state the one-step-per-heap-visit order reaches
+// when bound becomes the minimum. A top that is itself bound takes a single
+// step, as that order does, and bound is found again. With no bound at all
+// (every runnable thread waits on a false predicate) the top also takes
+// single steps, and none can appear until something writes.
 func (e *DetEnv) dispatch() int32 {
-	for {
-		ids := e.sched.ids
-		if len(ids) == 0 {
-			return -1
-		}
-		w := &e.waits[ids[0]]
+	h := &e.sched
+	bound, ok, stale := detEnt{}, false, true
+	for len(h.ents) > 0 {
+		top := &h.ents[0]
+		t := int(top.id)
+		w := &e.waits[t]
 		if !w.passive {
-			return e.sched.pop()
+			return h.pop()
 		}
-		if e.stepWait(int(ids[0]), w) {
-			// The wait completed without a charge, so the thread is still
-			// the minimum: schedule it now.
-			w.passive = false
-			return e.sched.pop()
+		if stale {
+			bound, ok = e.wakeBound()
+			stale = false
 		}
-		e.sched.siftDown(0) // the step charged the waiter; restore order
+		if ok && top.less(bound) {
+			for top.less(bound) {
+				if e.stepWait(t, w) {
+					// Unreachable: mayWake was false for this waiter and
+					// nothing has written since. A panic here would strand
+					// the calling goroutine's thread, so record the broken
+					// invariant for Run to re-raise and let the waiter run.
+					if e.panicV == nil {
+						e.panicV = fmt.Sprintf("memsim: thread %d's wait ended below the next possible writer", t)
+					}
+					w.passive = false
+					return h.pop()
+				}
+				top.key = e.key(t)
+			}
+		} else {
+			if e.stepWait(t, w) {
+				// The wait completed without a charge, so the thread is
+				// still the minimum: schedule it now.
+				w.passive = false
+				return h.pop()
+			}
+			top.key = e.key(t)
+			stale = ok // the step moved bound itself; no bound stays none
+		}
+		h.siftDown(0)
 	}
+	return -1
+}
+
+// wakeBound returns the least heap entry that is active or whose wait
+// predicate already holds in memory, and false if there is none.
+func (e *DetEnv) wakeBound() (detEnt, bool) {
+	bound, ok := detEnt{}, false
+	for _, c := range e.sched.ents {
+		if ok && !c.less(bound) {
+			continue
+		}
+		if w := &e.waits[c.id]; !w.passive || e.mayWake(w) {
+			bound, ok = c, true
+		}
+	}
+	return bound, ok
+}
+
+// mayWake reports whether passive wait w's predicate holds in memory now,
+// so that a step of it could complete the wait. It charges nothing.
+func (e *DetEnv) mayWake(w *detWait) bool {
+	return e.LoadWord(w.addr) == w.want ||
+		(w.kind == waitUntilEitherEq && e.LoadWord(w.addr2) == w.want2)
 }
 
 // stepWait executes one scheduling quantum of a passive wait on behalf of
@@ -593,8 +670,12 @@ func (e *DetEnv) Now(t int) int64 { return e.clocks[t] }
 func (e *DetEnv) Stats(t int) *ThreadStats { return &e.stats[t] }
 
 // ResetStats zeroes all per-thread counters and clocks (e.g. after a warmup
-// phase); caches are also emptied.
+// phase); caches are also emptied. It must be called between runs: during
+// Run it would leave the scheduler's heap keys stale, so it panics.
 func (e *DetEnv) ResetStats() {
+	if e.running {
+		panic("memsim: DetEnv.ResetStats called during Run")
+	}
 	for i := range e.stats {
 		e.stats[i].Reset()
 		e.clocks[i] = 0
@@ -605,78 +686,77 @@ func (e *DetEnv) ResetStats() {
 // Cost returns the environment's cost parameters.
 func (e *DetEnv) Cost() CostParams { return e.cost }
 
-// detHeap is a binary min-heap of runnable thread ids ordered by
-// (virtual clock, id). It is hand-rolled (rather than container/heap) so the
-// per-access peek/push/pop path has no interface conversions and no
-// allocations. The (clock, id) order is a strict total order, so the popped
-// minimum is unique and the schedule does not depend on internal layout.
+// detHeap is a binary min-heap of runnable threads ordered by (key, id),
+// where key is the thread's virtual clock plus its exploration boost. Keys
+// are stored inline: they change only for the running thread, which is not
+// in the heap, and for a passive waiter dispatch steps at the top, which
+// rewrites ents[0].key before sifting it down. The heap is hand-rolled
+// (rather than container/heap) so the per-access peek/push/pop path has no
+// interface conversions and no allocations. The (key, id) order is a strict
+// total order, so the popped minimum is unique and the schedule does not
+// depend on internal layout.
 type detHeap struct {
-	ids []int32
-	env *DetEnv
+	ents []detEnt
 }
 
-func (h *detHeap) less(a, b int32) bool {
-	ca, cb := h.env.clocks[a], h.env.clocks[b]
-	if bs := h.env.boost; bs != nil {
-		ca += bs[a]
-		cb += bs[b]
-	}
-	if ca != cb {
-		return ca < cb
-	}
-	return a < b
+// detEnt is one runnable thread in the scheduler heap.
+type detEnt struct {
+	key int64
+	id  int32
 }
 
-// reset refills the heap with ids 0..n-1 and restores heap order.
-func (h *detHeap) reset(n int) {
-	h.ids = h.ids[:0]
-	for i := 0; i < n; i++ {
-		h.ids = append(h.ids, int32(i))
-	}
-	for i := n/2 - 1; i >= 0; i-- {
+func (a detEnt) less(b detEnt) bool {
+	return a.key < b.key || (a.key == b.key && a.id < b.id)
+}
+
+// heapify restores heap order over ents.
+func (h *detHeap) heapify() {
+	for i := len(h.ents)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
 }
 
-func (h *detHeap) push(id int32) {
-	h.ids = append(h.ids, id)
-	i := len(h.ids) - 1
+func (h *detHeap) push(x detEnt) {
+	h.ents = append(h.ents, x)
+	ents := h.ents
+	i := len(ents) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.ids[i], h.ids[parent]) {
+		if !ents[i].less(ents[parent]) {
 			break
 		}
-		h.ids[i], h.ids[parent] = h.ids[parent], h.ids[i]
+		ents[i], ents[parent] = ents[parent], ents[i]
 		i = parent
 	}
 }
 
+// pop removes the minimum entry and returns its thread id.
 func (h *detHeap) pop() int32 {
-	ids := h.ids
-	top := ids[0]
-	last := len(ids) - 1
-	ids[0] = ids[last]
-	h.ids = ids[:last]
+	ents := h.ents
+	top := ents[0].id
+	last := len(ents) - 1
+	ents[0] = ents[last]
+	h.ents = ents[:last]
 	h.siftDown(0)
 	return top
 }
 
 func (h *detHeap) siftDown(i int) {
-	ids := h.ids
-	n := len(ids)
+	ents := h.ents
+	n := len(ents)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			return
 		}
 		min := l
-		if r := l + 1; r < n && h.less(ids[r], ids[l]) {
+		if r := l + 1; r < n && ents[r].less(ents[l]) {
 			min = r
 		}
-		if !h.less(ids[min], ids[i]) {
+		if !ents[min].less(ents[i]) {
 			return
 		}
-		ids[i], ids[min] = ids[min], ids[i]
+		ents[i], ents[min] = ents[min], ents[i]
 		i = min
 	}
 }

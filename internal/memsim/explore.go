@@ -135,14 +135,12 @@ func (e *DetEnv) explorePoint(t int) {
 		x.budget--
 		x.injected++
 	}
-	ids := e.sched.ids
-	if len(ids) == 0 {
+	ents := e.sched.ents
+	if len(ents) == 0 {
 		return // only runnable thread
 	}
-	m := ids[0]
-	ct := e.clocks[t] + e.boost[t]
-	cm := e.clocks[m] + e.boost[m]
-	if ct < cm || (ct == cm && t < int(m)) {
+	m := ents[0]
+	if ct := e.clocks[t] + e.boost[t]; ct < m.key || (ct == m.key && t < int(m.id)) {
 		return
 	}
 	e.switchTo(t)

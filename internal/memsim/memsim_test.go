@@ -1,6 +1,8 @@
 package memsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -523,6 +525,23 @@ func TestResetStats(t *testing.T) {
 	if s := e.Stats(0); s.Stores != 0 || s.WorkCycles != 0 {
 		t.Errorf("stats not reset: %+v", s)
 	}
+}
+
+// TestResetStatsDuringRunPanics pins ResetStats' guard: zeroing clocks
+// mid-run would leave the scheduler's heap keys stale.
+func TestResetStatsDuringRunPanics(t *testing.T) {
+	e := NewDet(DetConfig{Threads: 2})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "ResetStats") {
+			t.Fatalf("Run re-raised %v, want the ResetStats guard's panic", r)
+		}
+	}()
+	e.Run(func(th *Thread) {
+		th.Work(10)
+		if th.ID() == 1 {
+			e.ResetStats()
+		}
+	})
 }
 
 func TestBootThreadUsableBeforeRun(t *testing.T) {
