@@ -190,6 +190,10 @@ type Result struct {
 	PhaseByClass [][core.NumPhases]uint64
 	// InvariantViolation is non-empty if the scenario's check failed.
 	InvariantViolation string
+	// HostWork is the simulator's host-side scheduling work for the run.
+	// It is not a simulated result and stays out of every record but
+	// the hostspeed figure's.
+	HostWork memsim.HostWork `json:"-"`
 }
 
 // BuildEngine constructs the named engine over env for inst.
@@ -345,6 +349,7 @@ func RunPointWith(sc Scenario, engineName string, threads int, cfg Config, opts 
 		Engine:   engineName,
 		Threads:  threads,
 		Metrics:  eng.Metrics(),
+		HostWork: env.HostWork(),
 	}
 	for t := 0; t < threads; t++ {
 		res.Ops += opsByThread[t]

@@ -29,6 +29,12 @@ type HostSpeedPoint struct {
 	// config.
 	SimMcyclesPerHostSec float64 `json:"sim_mcycles_per_host_sec"`
 	OpsPerHostSec        float64 `json:"ops_per_host_sec"`
+	// Handoffs, HeapSwaps and WaitSteps sum memsim.HostWork over the
+	// sweep. They are deterministic, so the gate fails on any increase
+	// over the baseline, which no amount of wall-clock noise can pass.
+	Handoffs  uint64 `json:"handoffs"`
+	HeapSwaps uint64 `json:"heap_swaps"`
+	WaitSteps uint64 `json:"wait_steps"`
 	// InvariantViolation carries the first violation of the timed sweep.
 	InvariantViolation string `json:"invariant_violation,omitempty"`
 }
@@ -51,6 +57,9 @@ func RunHostSpeed(f Figure, cfg Config) (*HostSpeedReport, error) {
 	for _, r := range results {
 		cycles += r.Cycles
 		ops += r.Ops
+		rep.Point.Handoffs += r.HostWork.Handoffs
+		rep.Point.HeapSwaps += r.HostWork.HeapSwaps
+		rep.Point.WaitSteps += r.HostWork.WaitSteps
 		if rep.Point.InvariantViolation == "" && r.InvariantViolation != "" {
 			rep.Point.InvariantViolation = fmt.Sprintf("%s %s t=%d: %s", r.Scenario, r.Engine, r.Threads, r.InvariantViolation)
 		}
@@ -69,6 +78,7 @@ func (r *HostSpeedReport) Record() ([]byte, error) {
 
 // Text renders the measurement as one line.
 func (r *HostSpeedReport) Text() string {
-	return fmt.Sprintf("hostspeed: figure %s sweep in %.2fs, %.2f sim Mcycles/s, %.0f ops/s\n",
-		r.Sweep, r.Point.WallSec, r.Point.SimMcyclesPerHostSec, r.Point.OpsPerHostSec)
+	p := r.Point
+	return fmt.Sprintf("hostspeed: figure %s sweep in %.2fs, %.2f sim Mcycles/s, %.0f ops/s; %d handoffs, %d heap swaps, %d wait steps\n",
+		r.Sweep, p.WallSec, p.SimMcyclesPerHostSec, p.OpsPerHostSec, p.Handoffs, p.HeapSwaps, p.WaitSteps)
 }

@@ -153,11 +153,20 @@ const gateTolerance = 2
 // line into its identity and its gated value; ok=false keeps the point out
 // of the ratio (too few samples to mean anything).
 // sameConfig makes the gate first require equal header configs, for a
-// figure whose metric moves with its config.
+// figure whose metric moves with its config. counts, when set, decodes a
+// point's deterministic host-work counts: at an equal config any count
+// above the matching baseline point's fails, however the metric moved.
 type metricGate struct {
 	higherBetter bool
 	sameConfig   bool
 	metric       func(line []byte) (key string, v float64, ok bool, err error)
+	counts       func(line []byte) ([]count, error)
+}
+
+// count is one named deterministic count of a point.
+type count struct {
+	name string
+	v    uint64
 }
 
 func pointMetric[P any](higherBetter, sameConfig bool, f func(p *P) (string, float64, bool)) metricGate {
@@ -168,7 +177,19 @@ func pointMetric[P any](higherBetter, sameConfig bool, f func(p *P) (string, flo
 		}
 		k, v, ok := f(&p)
 		return k, v, ok, nil
-	}}
+	}, nil}
+}
+
+// withCounts adds a count ceiling to a sameConfig gate.
+func withCounts[P any](g metricGate, f func(p *P) []count) metricGate {
+	g.counts = func(line []byte) ([]count, error) {
+		var p P
+		if err := json.Unmarshal(line, &p); err != nil {
+			return nil, err
+		}
+		return f(&p), nil
+	}
+	return g
 }
 
 // kvGateMinSamples is the sojourn-count floor for a kv point to enter the
@@ -188,9 +209,12 @@ var metricGates = map[string]metricGate{
 		return fmt.Sprintf("users=%d get=%d%%", p.Users, p.GetPct), float64(p.Sojourn.P99), p.Sojourn.Count >= kvGateMinSamples
 	}),
 	// Host speed depends on the sweep timed (horizon, grid, parallelism),
-	// so it is only comparable at the baseline's config.
-	"hostspeed": pointMetric(true, true, func(p *HostSpeedPoint) (string, float64, bool) {
+	// so it is only comparable at the baseline's config, where the host
+	// work counts must also not grow.
+	"hostspeed": withCounts(pointMetric(true, true, func(p *HostSpeedPoint) (string, float64, bool) {
 		return "sim_mcycles_per_host_sec", p.SimMcyclesPerHostSec, true
+	}), func(p *HostSpeedPoint) []count {
+		return []count{{"handoffs", p.Handoffs}, {"heap_swaps", p.HeapSwaps}, {"wait_steps", p.WaitSteps}}
 	}),
 }
 
@@ -208,7 +232,9 @@ var metricGates = map[string]metricGate{
 //     absorbs a uniform hardware shift between the baseline's machine and
 //     this one, so only regressions concentrated in some points fail. A
 //     point fails when it is more than gateTolerance times worse.
-//     Hostspeed also requires the header configs to be equal.
+//     Hostspeed also requires the header configs to be equal, and fails
+//     when any host-work count exceeds the baseline's or is missing (a
+//     baseline count of zero predates the counts and is not checked).
 //
 // Fresh points without a baseline match are ignored.
 func GateRecord(fresh, base *Record) (string, error) {
@@ -268,8 +294,9 @@ func gateMetric(g metricGate, fresh, base *Record) (string, error) {
 		}
 	}
 	type value struct {
-		v  float64
-		ok bool
+		v    float64
+		ok   bool
+		line []byte
 	}
 	baseVal := map[string]value{}
 	for _, line := range base.Points {
@@ -277,13 +304,14 @@ func gateMetric(g metricGate, fresh, base *Record) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("harness: %s baseline point: %w", base.Figure, err)
 		}
-		baseVal[k] = value{v, ok}
+		baseVal[k] = value{v, ok, line}
 	}
 	type matched struct {
 		key   string
 		ratio float64 // oriented: > 1 is better than the baseline
 	}
 	var ms []matched
+	var over []string // host-work counts above the baseline
 	common := 0
 	for _, line := range fresh.Points {
 		k, v, ok, err := g.metric(line)
@@ -295,6 +323,15 @@ func gateMetric(g metricGate, fresh, base *Record) (string, error) {
 			continue
 		}
 		common++
+		if g.counts != nil {
+			counts, err := countsAbove(g, line, b.line)
+			if err != nil {
+				return "", fmt.Errorf("harness: %s point: %w", fresh.Figure, err)
+			}
+			for _, c := range counts {
+				over = append(over, k+": "+c)
+			}
+		}
 		if !ok || !b.ok || v <= 0 || b.v <= 0 {
 			continue
 		}
@@ -325,13 +362,50 @@ func gateMetric(g metricGate, fresh, base *Record) (string, error) {
 			fails = append(fails, fmt.Sprintf("%s: %.2fx the baseline", m.key, m.ratio))
 		}
 	}
+	var errs []string
 	if len(fails) > 0 {
-		return "", fmt.Errorf("harness: %s: %d/%d points more than %dx worse than %s:\n  %s",
-			fresh.Figure, len(fails), len(ms), gateTolerance, against, strings.Join(fails, "\n  "))
+		errs = append(errs, fmt.Sprintf("%d/%d points more than %dx worse than %s:\n  %s",
+			len(fails), len(ms), gateTolerance, against, strings.Join(fails, "\n  ")))
 	}
+	if len(over) > 0 {
+		errs = append(errs, fmt.Sprintf("%d host-work counts above the baseline:\n  %s", len(over), strings.Join(over, "\n  ")))
+	}
+	if len(errs) > 0 {
+		return "", fmt.Errorf("harness: %s: %s", fresh.Figure, strings.Join(errs, "\n"))
+	}
+	var sum string
 	if len(ms) == 1 {
-		return fmt.Sprintf("%s at %.2fx the baseline", ms[0].key, ms[0].ratio), nil
+		sum = fmt.Sprintf("%s at %.2fx the baseline", ms[0].key, ms[0].ratio)
+	} else {
+		sum = fmt.Sprintf("%d points within %dx of %s (%d matched points not gated)",
+			len(ms), gateTolerance, against, common-len(ms))
 	}
-	return fmt.Sprintf("%d points within %dx of %s (%d matched points not gated)",
-		len(ms), gateTolerance, against, common-len(ms)), nil
+	if g.counts != nil {
+		sum += ", no host-work count above the baseline"
+	}
+	return sum, nil
+}
+
+// countsAbove lists the counts of a fresh point line that exceed the
+// baseline line's, or that are missing while the baseline has them.
+func countsAbove(g metricGate, fresh, base []byte) ([]string, error) {
+	fc, err := g.counts(fresh)
+	if err != nil {
+		return nil, err
+	}
+	bc, err := g.counts(base)
+	if err != nil {
+		return nil, err
+	}
+	var over []string
+	for i, c := range fc {
+		switch b := bc[i].v; {
+		case b == 0:
+		case c.v == 0:
+			over = append(over, fmt.Sprintf("%s not counted, the baseline's is %d", c.name, b))
+		case c.v > b:
+			over = append(over, fmt.Sprintf("%s %d above the baseline's %d", c.name, c.v, b))
+		}
+	}
+	return over, nil
 }

@@ -97,8 +97,11 @@ func kvPoints(count uint64, p99s ...uint64) []KVPoint {
 	return pts
 }
 
-func hostSpeed(mcps float64) []HostSpeedPoint {
-	return []HostSpeedPoint{{WallSec: 1, SimMcyclesPerHostSec: mcps}}
+func hostSpeed(mcps float64) []HostSpeedPoint { return hostWork(mcps, 0, 0, 0) }
+
+// hostWork is a hostspeed point with host-work counts.
+func hostWork(mcps float64, handoffs, swaps, steps uint64) []HostSpeedPoint {
+	return []HostSpeedPoint{{WallSec: 1, SimMcyclesPerHostSec: mcps, Handoffs: handoffs, HeapSwaps: swaps, WaitSteps: steps}}
 }
 
 func sweepRows(horizon int64, rows ...string) (SweepConfig, []ResultRecord) {
@@ -165,6 +168,19 @@ func TestGateRecord(t *testing.T) {
 			mustRecord(t, "hostspeed", struct{}{}, hostSpeed(0.6)), mustRecord(t, "hostspeed", struct{}{}, hostSpeed(1)), ""},
 		{"single-point hostspeed ratio is not normalized",
 			mustRecord(t, "hostspeed", struct{}{}, hostSpeed(0.4)), mustRecord(t, "hostspeed", struct{}{}, hostSpeed(1)), "more than 2x worse"},
+		{"hostspeed with equal or fewer host-work counts passes",
+			mustRecord(t, "hostspeed", struct{}{}, hostWork(1, 100, 150, 200)), mustRecord(t, "hostspeed", struct{}{}, hostWork(1, 100, 200, 200)), ""},
+		{"one more handoff than the baseline fails, however fast",
+			mustRecord(t, "hostspeed", struct{}{}, hostWork(10, 101, 200, 200)), mustRecord(t, "hostspeed", struct{}{}, hostWork(1, 100, 200, 200)),
+			"handoffs 101 above the baseline's 100"},
+		{"more heap swaps or wait steps than the baseline fail",
+			mustRecord(t, "hostspeed", struct{}{}, hostWork(1, 100, 201, 201)), mustRecord(t, "hostspeed", struct{}{}, hostWork(1, 100, 200, 200)),
+			"2 host-work counts above the baseline"},
+		{"a record without host-work counts fails a baseline that has them",
+			mustRecord(t, "hostspeed", struct{}{}, hostSpeed(1)), mustRecord(t, "hostspeed", struct{}{}, hostWork(1, 100, 200, 200)),
+			"handoffs not counted"},
+		{"a baseline without host-work counts gates only the speed",
+			mustRecord(t, "hostspeed", struct{}{}, hostWork(1, 100, 200, 200)), mustRecord(t, "hostspeed", struct{}{}, hostSpeed(1)), ""},
 		{"hostspeed at another config is an error",
 			mustRecord(t, "hostspeed", HostSpeedReport{Parallel: 1}, hostSpeed(1)),
 			mustRecord(t, "hostspeed", HostSpeedReport{}, hostSpeed(1)), "config differs"},

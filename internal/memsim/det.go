@@ -1,7 +1,9 @@
 package memsim
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 )
 
 const (
@@ -50,19 +52,19 @@ type DetConfig struct {
 }
 
 // DetEnv is the deterministic multicore simulator backend. Virtual threads
-// are goroutines that run one at a time under a min-virtual-time scheduler;
-// each memory access advances the accessing thread's cycle clock by a cost
-// from the coherence model. Runs are fully deterministic for a given
-// configuration and workload seed.
+// are iter.Pull coroutines that run one at a time under a min-virtual-time
+// scheduler; each memory access advances the accessing thread's cycle clock
+// by a cost from the coherence model. Runs are fully deterministic for a
+// given configuration and workload seed.
 //
 // Scheduling is run-until-preempted: after charging an access, the current
 // thread keeps running as long as it is still the minimum-(clock, id)
-// runnable thread (a heap peek, no synchronization), and when another thread
-// becomes the minimum the CPU is handed to it directly — one channel
-// rendezvous per switch instead of a park/resume round-trip through a
-// central scheduler loop. The thread selected at every scheduling point is
-// identical to the classic pop-min design, so simulated results are
-// bit-for-bit unchanged; only host time is saved.
+// runnable thread (a heap peek, no synchronization). When another thread
+// becomes the minimum, the current thread picks it and yields to Run's
+// driver loop, which resumes it: two coroutine switches on one OS thread.
+// The thread selected at every scheduling point is identical to the
+// classic pop-min design, so simulated results are bit-for-bit unchanged;
+// only host time is saved.
 //
 // Threads in a passive spin-wait (SpinLoadUntilEq, SpinUntilEitherEq) are
 // stepped inline by the scheduler, and a waiter at the heap top is stepped
@@ -80,17 +82,25 @@ type DetEnv struct {
 	clock    uint64
 
 	threads []*Thread
-	resume  []chan struct{} // per worker thread wake-up rendezvous
 	caches  []*l1Cache
 	stats   []ThreadStats
 	clocks  []int64
 	jitter  []uint64 // per-thread splitmix states (0 slice = disabled)
 
 	running bool
-	done    chan struct{}
 	sched   detHeap
 	waits   []detWait
 	panicV  any
+
+	// The worker coroutines of the current Run (see Run). handoff is the
+	// thread the driver resumes next, set by the thread that yields or
+	// retires; -1 ends the run.
+	next    []func() (struct{}, bool)
+	stop    []func()
+	yield   []func(struct{}) bool
+	handoff int32
+
+	host HostWork
 
 	// Schedule exploration (see explore.go). Both stay nil with a zero
 	// DetConfig.Explore, keeping the scheduler's fast paths untouched.
@@ -99,10 +109,10 @@ type DetEnv struct {
 }
 
 // detWait is a worker thread's declarative wait state. While passive, the
-// thread's goroutine stays parked and its spin-loop events (access charges,
-// seqlock reads, yield charges) are executed inline, one scheduling quantum
-// per step, by whichever goroutine is driving the scheduler at that moment.
-// The step stream is bit-identical to the open-coded spin loop the
+// thread's coroutine stays suspended and its spin-loop events (access
+// charges, seqlock reads, yield charges) are executed inline, one
+// scheduling quantum per step, by whichever coroutine is dispatching at that
+// moment. The step stream is bit-identical to the open-coded spin loop the
 // primitive replaces; only the host context switches are elided.
 type detWait struct {
 	passive bool
@@ -120,6 +130,22 @@ const (
 	waitUntilEq       uint8 = iota // until Load(addr) == want
 	waitUntilEitherEq              // until Load(addr)==want or Load(addr2)==want2
 )
+
+// HostWork counts the host-side scheduling work of a DetEnv since it was
+// created. Like the schedule it is a pure function of the configuration and
+// workload, so unlike wall-clock time it does not vary from run to run: a
+// scheduler change that adds host work shows up here on every machine.
+type HostWork struct {
+	// Handoffs counts coroutine resumes by Run's driver: one per thread
+	// start and one per switch to a different thread.
+	Handoffs uint64
+	// HeapSwaps counts element swaps in the scheduler heap's push and
+	// sift-down, the cost of choosing the next thread.
+	HeapSwaps uint64
+	// WaitSteps counts the passive-wait quanta the scheduler stepped
+	// inline (stepWait calls).
+	WaitSteps uint64
+}
 
 // Step phases of a passive wait.
 const (
@@ -143,7 +169,6 @@ func NewDet(cfg DetConfig) *DetEnv {
 		cost:     cfg.Cost,
 		nextFree: WordsPerLine, // reserve line 0 so Addr 0 stays nil
 		freelist: make([][]Addr, 64),
-		done:     make(chan struct{}),
 	}
 	if cfg.CapacityHint > 0 {
 		npages := (cfg.CapacityHint + pageWords - 1) / pageWords
@@ -154,7 +179,9 @@ func NewDet(cfg DetConfig) *DetEnv {
 	}
 	total := cfg.Threads + 1 // + bootstrap
 	e.threads = make([]*Thread, total)
-	e.resume = make([]chan struct{}, cfg.Threads)
+	e.next = make([]func() (struct{}, bool), cfg.Threads)
+	e.stop = make([]func(), cfg.Threads)
+	e.yield = make([]func(struct{}) bool, cfg.Threads)
 	e.waits = make([]detWait, cfg.Threads)
 	e.caches = make([]*l1Cache, total)
 	e.stats = make([]ThreadStats, total)
@@ -162,9 +189,6 @@ func NewDet(cfg DetConfig) *DetEnv {
 	for i := 0; i < total; i++ {
 		e.threads[i] = NewThread(e, i)
 		e.caches[i] = newL1Cache(cfg.Cost.L1Sets, cfg.Cost.L1Ways)
-	}
-	for i := 0; i < cfg.Threads; i++ {
-		e.resume[i] = make(chan struct{})
 	}
 	if cfg.Cost.JitterPct > 0 {
 		e.jitter = make([]uint64, total)
@@ -192,14 +216,28 @@ func (e *DetEnv) Thread(id int) *Thread { return e.threads[id] }
 // Boot returns the bootstrap thread handle for single-threaded setup.
 func (e *DetEnv) Boot() *Thread { return e.threads[e.n] }
 
+// HostWork returns the environment's host-side scheduling counts.
+func (e *DetEnv) HostWork() HostWork {
+	hw := e.host
+	hw.HeapSwaps = e.sched.swaps
+	return hw
+}
+
+// errUnwind is what a suspended thread panics with when Run stops its
+// coroutine early; the coroutine's own deferred recover absorbs it.
+var errUnwind = errors.New("memsim: virtual thread unwound")
+
 // Run executes body once per worker thread under the deterministic
 // scheduler and returns when every body has returned. It must not be called
 // concurrently with itself. A panic in any body is re-raised from Run after
-// the remaining threads have finished.
+// the remaining threads have finished. A body that calls runtime.Goexit
+// (t.FailNow, for example) ends Run's own goroutine: every other thread is
+// unwound first, by a panic that runs its deferred calls, and then the
+// Goexit reaches Run's caller.
 //
-// Run only seeds the schedule (resuming the minimum-clock thread) and waits
-// for completion; thereafter the virtual CPU moves between threads by direct
-// handoff at scheduling points, never returning to this goroutine.
+// Each worker is an iter.Pull coroutine. Run's driver loop only resumes
+// whichever thread the last one handed off to; the scheduling decisions
+// are made by the threads themselves at their scheduling points.
 func (e *DetEnv) Run(body func(th *Thread)) {
 	if e.running {
 		panic("memsim: DetEnv.Run called reentrantly")
@@ -209,19 +247,9 @@ func (e *DetEnv) Run(body func(th *Thread)) {
 	for i := range e.waits {
 		e.waits[i] = detWait{}
 	}
+	defer e.unwind()
 	for i := 0; i < e.n; i++ {
-		go func(id int) {
-			<-e.resume[id]
-			defer func() {
-				if r := recover(); r != nil && e.panicV == nil {
-					// Record before handing off: Run reads panicV after
-					// the last thread signals done.
-					e.panicV = r
-				}
-				e.finish()
-			}()
-			body(e.threads[id])
-		}(i)
+		e.next[i], e.stop[i] = iter.Pull(e.worker(i, body))
 	}
 	if e.exp != nil {
 		e.resetExplore() // draw initial priorities before the heap is built
@@ -231,29 +259,53 @@ func (e *DetEnv) Run(body func(th *Thread)) {
 		e.sched.ents = append(e.sched.ents, detEnt{e.key(i), int32(i)})
 	}
 	e.sched.heapify()
-	e.resume[e.dispatch()] <- struct{}{}
-	<-e.done
-	e.running = false
+	for t := e.dispatch(); t >= 0; t = e.handoff {
+		e.host.Handoffs++
+		e.next[t]()
+	}
 	if e.panicV != nil {
 		panic(e.panicV)
 	}
 }
 
-// finish retires the calling virtual thread: it hands the CPU to the next
-// runnable thread, or signals Run when it was the last one.
-func (e *DetEnv) finish() {
-	if next := e.dispatch(); next >= 0 {
-		e.resume[next] <- struct{}{}
-	} else {
-		e.done <- struct{}{}
+// worker returns thread id's coroutine. A retiring thread dispatches the
+// next one into handoff (-1 when it was the last), and a body's panic is
+// recorded for Run to re-raise. A thread unwound by Run, or one whose body
+// called runtime.Goexit, dispatches nothing: Run is leaving early.
+func (e *DetEnv) worker(id int, body func(th *Thread)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		e.yield[id] = yield
+		returned := false
+		defer func() {
+			r := recover()
+			if r == errUnwind || (r == nil && !returned) {
+				return
+			}
+			if r != nil && e.panicV == nil {
+				e.panicV = r
+			}
+			e.handoff = e.dispatch()
+		}()
+		body(e.threads[id])
+		returned = true
 	}
+}
+
+// unwind stops every coroutine that has not finished, which happens only
+// when Run leaves early by a panic or a Goexit, and ends the run.
+func (e *DetEnv) unwind() {
+	for i, stop := range e.stop {
+		stop() // a no-op once the coroutine has finished
+		e.next[i], e.stop[i], e.yield[i] = nil, nil, nil
+	}
+	e.running = false
 }
 
 // schedPoint preempts the calling virtual thread if it is no longer the
 // minimum-(clock, id) runnable thread. The common case — still minimum —
 // is a heap peek with no synchronization at all (and this function is small
-// enough to inline into Access/Work/Yield); a switch is one direct channel
-// handoff to the new minimum thread.
+// enough to inline into Access/Work/Yield); a switch yields to Run's
+// driver, which resumes the new minimum thread.
 func (e *DetEnv) schedPoint(t int) {
 	if !e.running || t >= e.n {
 		return
@@ -284,22 +336,25 @@ func (e *DetEnv) key(t int) int64 {
 // switchTo re-enters the scheduler from thread t. If the next thread due to
 // run is t itself (possible when the threads ahead of it are all passive
 // waiters whose steps dispatch executes inline), t simply keeps the CPU;
-// otherwise the CPU is handed over with a single channel rendezvous and t
-// parks until it is scheduled — or, if t is a passive waiter, until its wait
-// completes.
+// otherwise t records the next thread in handoff and yields to Run's
+// driver, staying suspended until it is scheduled again — or, if t is a
+// passive waiter, until its wait completes. A false yield means Run is
+// unwinding, and t panics with errUnwind to run its deferred calls.
 func (e *DetEnv) switchTo(t int) {
 	e.sched.push(detEnt{e.key(t), int32(t)})
 	next := e.dispatch()
 	if int(next) == t {
 		return
 	}
-	e.resume[next] <- struct{}{}
-	<-e.resume[t]
+	e.handoff = next
+	if !e.yield[t](struct{}{}) {
+		panic(errUnwind)
+	}
 }
 
 // dispatch drives the schedule until an active (non-waiting) thread is the
 // minimum-(key, id) runnable thread and pops it, executing passive waiters'
-// spin-loop steps inline on the calling goroutine along the way. Returns -1
+// spin-loop steps inline on the calling coroutine along the way. Returns -1
 // when no runnable thread remains.
 //
 // A passive top is not re-heaped after every step. dispatch first finds
@@ -333,7 +388,7 @@ func (e *DetEnv) dispatch() int32 {
 				if e.stepWait(t, w) {
 					// Unreachable: mayWake was false for this waiter and
 					// nothing has written since. A panic here would strand
-					// the calling goroutine's thread, so record the broken
+					// the calling coroutine's thread, so record the broken
 					// invariant for Run to re-raise and let the waiter run.
 					if e.panicV == nil {
 						e.panicV = fmt.Sprintf("memsim: thread %d's wait ended below the next possible writer", t)
@@ -385,8 +440,9 @@ func (e *DetEnv) mayWake(w *detWait) bool {
 // loop the wait replaces (one charge, plus the seqlock reads that precede
 // it). It reports whether the wait's predicate was satisfied. The event
 // stream is bit-identical to Thread.Load/Thread.Yield executing the same
-// loop; only the goroutine switches between quanta are elided.
+// loop; only the coroutine switches between quanta are elided.
 func (e *DetEnv) stepWait(t int, w *detWait) bool {
+	e.host.WaitSteps++
 	switch w.phase {
 	case phAccess1: // Thread.Load(addr) charges its access first
 		e.accessBook(t, LineOf(w.addr), false)
@@ -445,7 +501,7 @@ func (e *DetEnv) stepWait(t int, w *detWait) bool {
 //
 //	for th.Load(a) != want { th.Yield() }
 //
-// The first access is charged here, on the calling goroutine, exactly where
+// The first access is charged here, on the calling coroutine, exactly where
 // Thread.Load would charge it — before the scheduler is consulted — so
 // equal-clock ties resolve identically.
 func (e *DetEnv) spinUntilEq(t int, a Addr, want uint64) {
@@ -696,7 +752,8 @@ func (e *DetEnv) Cost() CostParams { return e.cost }
 // total order, so the popped minimum is unique and the schedule does not
 // depend on internal layout.
 type detHeap struct {
-	ents []detEnt
+	ents  []detEnt
+	swaps uint64 // element swaps by push and siftDown (HostWork.HeapSwaps)
 }
 
 // detEnt is one runnable thread in the scheduler heap.
@@ -720,6 +777,7 @@ func (h *detHeap) push(x detEnt) {
 	h.ents = append(h.ents, x)
 	ents := h.ents
 	i := len(ents) - 1
+	var swaps uint64
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ents[i].less(ents[parent]) {
@@ -727,7 +785,9 @@ func (h *detHeap) push(x detEnt) {
 		}
 		ents[i], ents[parent] = ents[parent], ents[i]
 		i = parent
+		swaps++
 	}
+	h.swaps += swaps
 }
 
 // pop removes the minimum entry and returns its thread id.
@@ -744,19 +804,22 @@ func (h *detHeap) pop() int32 {
 func (h *detHeap) siftDown(i int) {
 	ents := h.ents
 	n := len(ents)
+	var swaps uint64
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		min := l
 		if r := l + 1; r < n && ents[r].less(ents[l]) {
 			min = r
 		}
 		if !ents[min].less(ents[i]) {
-			return
+			break
 		}
 		ents[i], ents[min] = ents[min], ents[i]
 		i = min
+		swaps++
 	}
+	h.swaps += swaps
 }

@@ -2,9 +2,11 @@ package memsim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // envs returns one environment of each backend for conformance testing.
@@ -323,19 +325,91 @@ func TestDetEnvSchedulesByMinimumClock(t *testing.T) {
 	}
 }
 
+// TestDetEnvRunPanicsPropagate checks that a body's panic is re-raised
+// from Run after the other threads have finished, and that no coroutine
+// is left behind.
 func TestDetEnvRunPanicsPropagate(t *testing.T) {
-	e := NewDet(DetConfig{Threads: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic from worker body was swallowed")
-		}
+	before := runtime.NumGoroutine()
+	e := NewDet(DetConfig{Threads: 3})
+	flag := e.Alloc(1)
+	finished := 0
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("Run panicked with %v, want the body's panic", r)
+			}
+		}()
+		e.Run(func(th *Thread) {
+			switch th.ID() {
+			case 0:
+				th.SpinLoadUntilEq(flag, 1)
+			case 1:
+				th.Yield()
+				panic("boom")
+			default:
+				th.Work(1000)
+				th.Store(flag, 1)
+			}
+			finished++
+		})
 	}()
-	e.Run(func(th *Thread) {
-		if th.ID() == 1 {
-			panic("boom")
+	if finished != 2 {
+		t.Errorf("%d threads finished before the panic was re-raised, want 2", finished)
+	}
+	checkNoGoroutineLeak(t, before)
+	e.Run(func(th *Thread) { th.Yield() }) // Run is usable again
+}
+
+// TestDetEnvRunGoexitUnwinds checks that a body's runtime.Goexit ends Run's
+// goroutine after unwinding every other thread, running their deferred
+// calls and leaving no coroutine behind.
+func TestDetEnvRunGoexitUnwinds(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewDet(DetConfig{Threads: 4})
+	flag := e.Alloc(1)
+	unwound, returned := 0, false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run(func(th *Thread) {
+			defer func() { unwound++ }()
+			switch th.ID() {
+			case 0:
+				th.SpinLoadUntilEq(flag, 1) // never set
+			case 1:
+				th.Work(500)
+				runtime.Goexit()
+			case 2:
+				for {
+					th.Yield()
+				}
+			default:
+				th.Work(1_000_000) // suspended far ahead of the Goexit
+			}
+		})
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Error("Run returned normally after a body called runtime.Goexit")
+	}
+	if unwound != 4 {
+		t.Errorf("%d threads ran their deferred calls, want 3 unwound plus the one that exited", unwound)
+	}
+	checkNoGoroutineLeak(t, before)
+	e.Run(func(th *Thread) { th.Yield() }) // Run is usable again
+}
+
+// checkNoGoroutineLeak fails if more goroutines are running than before.
+func checkNoGoroutineLeak(t *testing.T, before int) {
+	t.Helper()
+	for i := 0; i < 100; i++ {
+		if runtime.NumGoroutine() <= before {
+			return
 		}
-		th.Yield()
-	})
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("%d goroutines running, %d before Run: coroutines leaked", runtime.NumGoroutine(), before)
 }
 
 func TestDetEnvNowAdvancesWithWork(t *testing.T) {
