@@ -19,7 +19,8 @@
 // Wall-clock figures gate one metric per point, normalized by the median
 // fresh/baseline ratio so a uniform hardware shift passes. Any point with
 // an invariant violation or a failed crash-recovery replay fails the run,
-// gated or not.
+// gated or not, and so does an autotune record whose tuned run falls
+// below 0.9x the paper configuration.
 //
 // The checked-in records and the command that gates each one:
 //
@@ -29,6 +30,10 @@
 //	hcfbench -fig native -native-dur 80 -json -gate bench/BENCH_native.jsonl
 //	hcfbench -fig kv -kv-dur 200 -json -gate bench/KV_sweep.jsonl
 //	hcfbench -fig hostspeed -threads 1,4,12,36 -horizon 200000 -parallel 1 -json -gate bench/HOSTSPEED.jsonl
+//	hcfbench -fig autotune -threads 36 -horizon 900000 -seed 1 -json -journal-out j.json -gate bench/AUTOTUNE_sweep.jsonl
+//
+// -fig autotune's text ends with the tuner's decision journal, and
+// -journal-out also writes it as JSON (bench/AUTOTUNE_journal.json).
 //
 // Redirect -json to a file to record a new baseline. The open-loop figure
 // can also serve live introspection endpoints while it runs:
@@ -102,6 +107,7 @@ var figureFlags = map[string][]string{
 	"openloop":  {"threads", "engines", "rates", "horizon", "seed", "parallel", "serve"},
 	"elastic":   {"threads", "horizon", "seed", "parallel", "elastic-rate"},
 	"hostspeed": {"threads", "engines", "horizon", "seed", "parallel"},
+	"autotune":  {"threads", "horizon", "seed", "journal-out"},
 }
 
 var sweepFlags = []string{"threads", "engines", "horizon", "seed", "parallel", "csv"}
@@ -149,6 +155,7 @@ func run(args []string) error {
 		natDur   = fs.Int("native-dur", 150, "measured window per point in milliseconds (-fig native only)")
 		kvDur    = fs.Int64("kv-dur", 400, "arrival window per point in milliseconds (-fig kv only)")
 		elRate   = fs.Float64("elastic-rate", 0, "-fig elastic only: offered load in ops/Mcycle (0 = default)")
+		journal  = fs.String("journal-out", "", "-fig autotune only: also write the tuner's decision journal (JSON) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -202,15 +209,9 @@ func run(args []string) error {
 	case "openloop":
 		rec, text, err = runOpenLoop(ts, engines, *rates, cfg, *serveAt)
 	case "elastic":
-		// The elastic figure has its own (longer) default horizon: only
-		// forward -horizon when the user actually set it.
-		cfg.Horizon = 0
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "horizon" {
-				cfg.Horizon = *horizon
-			}
-		})
-		rec, text, err = runElastic(ts, cfg, *elRate)
+		rec, text, err = runElastic(ts, ownHorizon(fs, cfg), *elRate)
+	case "autotune":
+		rec, text, err = runAutotune(ts, ownHorizon(fs, cfg), *journal)
 	case "hostspeed":
 		rec, text, err = runHostSpeed(ts, engines, cfg)
 	default:
@@ -254,6 +255,17 @@ func check(rec []byte, gatePath string) error {
 	}
 	fmt.Fprintf(os.Stderr, "hcfbench: gate %s passed: %s\n", gatePath, summary)
 	return nil
+}
+
+// ownHorizon clears cfg.Horizon unless -horizon was set, for the figures
+// with their own (longer) default horizon.
+func ownHorizon(fs *flag.FlagSet, cfg harness.Config) harness.Config {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == "horizon" })
+	if !set {
+		cfg.Horizon = 0
+	}
+	return cfg
 }
 
 // runFigures runs one registry figure, or all of them, as RunFigure
@@ -307,12 +319,7 @@ func runHostSpeed(threads []int, engines []string, cfg harness.Config) ([]byte, 
 	if engines != nil {
 		f.Engines = engines
 	}
-	rep, err := harness.RunHostSpeed(f, cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	rec, err := rep.Record()
-	return rec, rep.Text(), err
+	return output(harness.RunHostSpeed(f, cfg))
 }
 
 // runNative is the -fig native pipeline: a wall-clock sweep of the
@@ -337,29 +344,21 @@ func runNative(threads []int, durMS int) ([]byte, string, error) {
 func runKV(threads []int, durMS int64) ([]byte, string, error) {
 	opts := harness.KVSweepOptions{DurationMS: durMS}
 	if threads != nil {
-		if len(threads) != 1 {
-			return nil, "", fmt.Errorf("-fig kv takes a single -threads value (worker count), got %v", threads)
+		var err error
+		if opts.Workers, err = oneThreadCount("kv", threads); err != nil {
+			return nil, "", err
 		}
-		opts.Workers = threads[0]
 	}
-	rep, err := harness.RunKVSweep(opts)
-	if err != nil {
-		return nil, "", err
-	}
-	rec, err := rep.Record()
-	return rec, rep.Text(), err
+	return output(harness.RunKVSweep(opts))
 }
 
 // runOpenLoop is the -fig openloop pipeline: an offered-load sweep with
 // coordinated-omission-safe sojourn latency and optional live
 // introspection endpoints during the run.
 func runOpenLoop(threads []int, engines []string, ratesCSV string, cfg harness.Config, serveAt string) ([]byte, string, error) {
-	th := 36
-	if threads != nil {
-		if len(threads) != 1 {
-			return nil, "", fmt.Errorf("-fig openloop takes exactly one thread count, got %v", threads)
-		}
-		th = threads[0]
+	th, err := oneThreadCount("openloop", threads)
+	if err != nil {
+		return nil, "", err
 	}
 	if engines == nil {
 		engines = harness.OpenLoopDefaultEngines
@@ -375,14 +374,11 @@ func runOpenLoop(threads []int, engines []string, ratesCSV string, cfg harness.C
 			rates = append(rates, r)
 		}
 	}
-	sc := harness.OpenLoopScenario()
 	ol := harness.OpenLoopConfig{Interval: max(cfg.Horizon/20, 1)}
-
-	var rep *harness.OpenLoopReport
 	if serveAt != "" {
-		// Live introspection: points run serially so the single observer
-		// always describes the point in flight. Results are bit-identical
-		// to the unserved sweep.
+		// Live introspection: the sweep runs its points serially so the
+		// one observer always describes the point in flight. Results are
+		// bit-identical to the unserved sweep.
 		srv := serve.New()
 		addr, err := srv.Start(serveAt)
 		if err != nil {
@@ -390,49 +386,76 @@ func runOpenLoop(threads []int, engines []string, ratesCSV string, cfg harness.C
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "hcfbench: live introspection at http://%s/debug\n", addr)
-		rep = &harness.OpenLoopReport{
-			Scenario: sc.Name, Threads: th,
-			Seed: cfg.Seed, Horizon: cfg.Horizon, Interval: ol.Interval, Rates: rates,
-		}
-		for _, r := range rates {
-			for _, name := range engines {
-				olp := ol
-				olp.Rate = r
-				olp.Observer = srv
-				p, _, err := harness.RunPointOpenLoop(sc, name, th, cfg, olp)
-				if err != nil {
-					return nil, "", err
-				}
-				rep.Points = append(rep.Points, p)
-			}
-		}
-	} else {
-		var err error
-		rep, err = harness.RunOpenLoopSweep(sc, engines, rates, th, cfg, ol)
-		if err != nil {
-			return nil, "", err
-		}
+		ol.Observer = srv
 	}
-	rec, err := rep.Record()
-	return rec, rep.Text(), err
+	return output(harness.RunOpenLoopSweep(harness.OpenLoopScenario(), engines, rates, th, cfg, ol))
 }
 
 // runElastic is the -fig elastic pipeline: the three-mode hot-shard
 // healing comparison (balanced / static skew / rebalanced).
 func runElastic(threads []int, cfg harness.Config, rate float64) ([]byte, string, error) {
-	th := 36
-	if threads != nil {
-		if len(threads) != 1 {
-			return nil, "", fmt.Errorf("-fig elastic takes exactly one thread count, got %v", threads)
-		}
-		th = threads[0]
+	th, err := oneThreadCount("elastic", threads)
+	if err != nil {
+		return nil, "", err
 	}
-	rep, err := harness.RunElasticFigure(th, cfg, harness.ElasticRunConfig{Rate: rate})
+	return output(harness.RunElasticFigure(th, cfg, harness.ElasticRunConfig{Rate: rate}))
+}
+
+// autotuneHorizon is -fig autotune's default horizon, the one
+// bench/AUTOTUNE_sweep.jsonl was recorded at (drift points at 1/3 and 2/3).
+const autotuneHorizon = 900_000
+
+// runAutotune is the -fig autotune pipeline: every static policy, the
+// tuned run and the per-segment oracle on the drifting priority-queue
+// workload, with the tuner's decision journal.
+func runAutotune(threads []int, cfg harness.Config, journalOut string) ([]byte, string, error) {
+	th, err := oneThreadCount("autotune", threads)
+	if err != nil {
+		return nil, "", err
+	}
+	if cfg.Horizon == 0 {
+		cfg.Horizon = autotuneHorizon
+	}
+	rep, err := harness.RunAutotune(th, cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	if journalOut != "" {
+		out, err := rep.Journal.JSON()
+		if err != nil {
+			return nil, "", err
+		}
+		if err := os.WriteFile(journalOut, append(out, '\n'), 0o644); err != nil {
+			return nil, "", err
+		}
+	}
+	text := fmt.Sprintf("%s\ndecision journal (%d entries):\n%s", rep.Text(), rep.Journal.Len(), rep.Journal.Text())
+	rec, err := rep.Record()
+	return rec, text, err
+}
+
+// output is a figure report's record and text.
+func output(rep interface {
+	Record() ([]byte, error)
+	Text() string
+}, err error) ([]byte, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
 	rec, err := rep.Record()
 	return rec, rep.Text(), err
+}
+
+// oneThreadCount is the single -threads value of a figure that measures
+// one thread count (default 36).
+func oneThreadCount(fig string, threads []int) (int, error) {
+	switch len(threads) {
+	case 0:
+		return 36, nil
+	case 1:
+		return threads[0], nil
+	}
+	return 0, fmt.Errorf("-fig %s takes exactly one thread count, got %v", fig, threads)
 }
 
 func parseInts(s string) ([]int, error) {

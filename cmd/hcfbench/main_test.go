@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,9 @@ func TestRunListAndErrors(t *testing.T) {
 		{"-fig", "2c", "-rates", "1000"},
 		{"-fig", "elastic", "-rates", "1000"},
 		{"-fig", "native", "-rates", "1000"},
+		{"-fig", "autotune", "-csv"},
+		{"-fig", "autotune", "-engines", "HCF"},
+		{"-fig", "2c", "-journal-out", "j.json"},
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "does not use") {
 			t.Errorf("%v: got %v, want an ignored-flag error", args, err)
@@ -139,5 +144,56 @@ func TestRunGate(t *testing.T) {
 	}
 	if _, err := captureRun(t, append(args, "-gate", base)...); err == nil {
 		t.Fatal("gate passed against an edited baseline")
+	}
+}
+
+// TestRunAutotune runs -fig autotune at a small horizon: -json must emit
+// the record format of bench/AUTOTUNE_sweep.jsonl (same header config
+// keys, autotune rows), and -journal-out must write the journal.
+func TestRunAutotune(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.json")
+	out, err := captureRun(t, "-fig", "autotune", "-threads", "4", "-horizon", "30000",
+		"-json", "-journal-out", journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := os.ReadFile(filepath.Join("..", "..", "bench", "AUTOTUNE_sweep.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(data []byte) []string {
+		var hdr struct {
+			Figure string                     `json:"figure"`
+			Config map[string]json.RawMessage `json:"config"`
+		}
+		line, _, _ := strings.Cut(string(data), "\n")
+		if err := json.Unmarshal([]byte(line), &hdr); err != nil || hdr.Figure != "autotune" {
+			t.Fatalf("header %s: figure %q, err %v", line, hdr.Figure, err)
+		}
+		var ks []string
+		for k := range hdr.Config {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	if got, want := keys(out), keys(base); !reflect.DeepEqual(got, want) {
+		t.Errorf("header config keys %v, want the checked-in record's %v", got, want)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")[1:]
+	if len(lines) == 0 {
+		t.Fatal("record has no points")
+	}
+	for _, line := range lines {
+		var row struct {
+			Variant string `json:"variant"`
+			Region  string `json:"region"`
+		}
+		if err := json.Unmarshal([]byte(line), &row); err != nil || row.Variant == "" || row.Region == "" {
+			t.Fatalf("point is not an autotune row (err %v): %s", err, line)
+		}
+	}
+	if data, err := os.ReadFile(journal); err != nil || !json.Valid(data) {
+		t.Errorf("-journal-out: err %v, valid JSON %v", err, json.Valid(data))
 	}
 }

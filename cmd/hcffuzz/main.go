@@ -32,7 +32,7 @@ import (
 
 	"hcf/internal/core"
 	"hcf/internal/engine"
-	"hcf/internal/engines"
+	"hcf/internal/harness"
 	"hcf/internal/memsim"
 	"hcf/internal/route"
 	"hcf/internal/seq/avl"
@@ -90,6 +90,9 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *threads < 1 {
+		return fmt.Errorf("-threads must be positive, got %d", *threads)
 	}
 	cfg := fuzzCfg{
 		threads:   *threads,
@@ -245,28 +248,17 @@ func opString(op engine.Op) string {
 	return fmt.Sprintf("%T", op)
 }
 
-// fuzzScenario is one constructed workload over a fresh environment.
+// fuzzScenario is one constructed workload over a fresh environment: the
+// engine plumbing (policies, combine function, operation generator and
+// the sharding or elastic plan) plus the witness's replay model.
 type fuzzScenario struct {
-	policies []core.Policy
-	combine  engine.CombineFunc
-	nextOp   func(r *rand.Rand) engine.Op
-	model    witness.Model
-	rank     func(op engine.Op) int
-	// shards/ring (with key) describe the sharded variant (HCF-S);
-	// shards == 0 means the scenario has no sharding plan.
-	shards int
-	ring   *route.Ring
-	// The elastic variant (HCF-E): maxShards == 0 means no elastic plan.
+	harness.Instance
+	model witness.Model
+	rank  func(op engine.Op) int
 	// reshard, when non-nil, is called from thread 0 before each of its
 	// operations so splits and merges land mid-schedule, racing the
 	// witnessed traffic.
-	maxShards int
-	initial   int
-	slots     int
-	key       shard.KeyFunc
-	bind      func(op engine.Op, si int) engine.Op
-	migrate   shard.MigrateFunc
-	reshard   func(th *memsim.Thread, e *shard.Elastic, i, perThread int)
+	reshard func(th *memsim.Thread, e *shard.Elastic, i, perThread int)
 }
 
 func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, error) {
@@ -285,29 +277,33 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 			ctx.Store(counter, v)
 		}
 		return &fuzzScenario{
-			policies: []core.Policy{{
-				TryPrivateTrials: 2, TryVisibleTrials: 2, TryCombiningTrials: 4,
-				RunMulti: combine,
-			}},
-			combine: combine,
-			nextOp:  func(r *rand.Rand) engine.Op { return incOp{addr: counter} },
-			model:   &counterModel{},
+			Instance: harness.Instance{
+				Policies: []core.Policy{{
+					TryPrivateTrials: 2, TryVisibleTrials: 2, TryCombiningTrials: 4,
+					RunMulti: combine,
+				}},
+				Combine: combine,
+				NextOp:  func(r *rand.Rand) engine.Op { return incOp{addr: counter} },
+			},
+			model: &counterModel{},
 		}, nil
 	case "hashtable":
 		tbl := hashtable.New(env.Boot(), 32)
 		return &fuzzScenario{
-			policies: hashtable.Policies(),
-			combine:  hashtable.CombineMixed,
-			nextOp: func(r *rand.Rand) engine.Op {
-				key := r.Uint64N(48)
-				switch r.IntN(3) {
-				case 0:
-					return hashtable.InsertOp{T: tbl, Key: key, Val: key ^ seed}
-				case 1:
-					return hashtable.FindOp{T: tbl, Key: key}
-				default:
-					return hashtable.RemoveOp{T: tbl, Key: key}
-				}
+			Instance: harness.Instance{
+				Policies: hashtable.Policies(),
+				Combine:  hashtable.CombineMixed,
+				NextOp: func(r *rand.Rand) engine.Op {
+					key := r.Uint64N(48)
+					switch r.IntN(3) {
+					case 0:
+						return hashtable.InsertOp{T: tbl, Key: key, Val: key ^ seed}
+					case 1:
+						return hashtable.FindOp{T: tbl, Key: key}
+					default:
+						return hashtable.RemoveOp{T: tbl, Key: key}
+					}
+				},
 			},
 			model: &mapModel{m: map[uint64]uint64{}},
 			rank:  insertsLast,
@@ -322,42 +318,16 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 		if err != nil {
 			return nil, err
 		}
-		boot := env.Boot()
-		tables := make([]*hashtable.Table, shards)
-		for i := range tables {
-			tables[i] = hashtable.New(boot, 16)
-		}
-		model := &mapModel{m: map[uint64]uint64{}}
-		pre := rand.New(rand.NewPCG(seed, 0x5AD))
-		for i := 0; i < 16; i++ {
-			k := pre.Uint64N(48)
-			if tables[ring.Owner(k)].Insert(boot, k, k) {
-				model.m[k] = k
-			}
-		}
+		_, model, nextOp := shardedTables(env, shards, ring, seed, 0x5AD, true)
 		return &fuzzScenario{
-			policies: hashtable.Policies(),
-			combine:  hashtable.CombineMixed,
-			nextOp: func(r *rand.Rand) engine.Op {
-				if r.Uint64N(100) < 4 {
-					return hashtable.SumAllOp{Tables: tables}
-				}
-				key := r.Uint64N(48)
-				tbl := tables[ring.Owner(key)]
-				switch r.IntN(4) {
-				case 0, 1:
-					return hashtable.InsertOp{T: tbl, Key: key, Val: key ^ seed}
-				case 2:
-					return hashtable.FindOp{T: tbl, Key: key}
-				default:
-					return hashtable.RemoveOp{T: tbl, Key: key}
-				}
+			Instance: harness.Instance{
+				Policies: hashtable.Policies(),
+				Combine:  hashtable.CombineMixed,
+				NextOp:   nextOp,
+				Sharding: &harness.Sharding{Shards: shards, Key: hashtable.RouteKey, Ring: ring},
 			},
-			model:  model,
-			rank:   insertsLast,
-			shards: shards,
-			key:    hashtable.RouteKey,
-			ring:   ring,
+			model: model,
+			rank:  insertsLast,
 		}, nil
 	case "elastic":
 		// The sharded workload over a LIVE topology: 4 provisioned tables
@@ -375,48 +345,27 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 		if err != nil {
 			return nil, err
 		}
-		boot := env.Boot()
-		tables := make([]*hashtable.Table, maxShards)
-		for i := range tables {
-			tables[i] = hashtable.New(boot, 16)
-		}
-		model := &mapModel{m: map[uint64]uint64{}}
-		pre := rand.New(rand.NewPCG(seed, 0xE1A))
-		for i := 0; i < 16; i++ {
-			k := pre.Uint64N(48)
-			if tables[ring.Owner(k)].Insert(boot, k, k) {
-				model.m[k] = k
-			}
-		}
+		tables, model, nextOp := shardedTables(env, maxShards, ring, seed, 0xE1A, false)
 		return &fuzzScenario{
-			policies: hashtable.Policies(),
-			combine:  hashtable.CombineMixed,
-			nextOp: func(r *rand.Rand) engine.Op {
-				if r.Uint64N(100) < 4 {
-					return hashtable.SumAllOp{Tables: tables}
-				}
-				key := r.Uint64N(48)
-				switch r.IntN(4) {
-				case 0, 1:
-					return hashtable.InsertOp{Key: key, Val: key ^ seed}
-				case 2:
-					return hashtable.FindOp{Key: key}
-				default:
-					return hashtable.RemoveOp{Key: key}
-				}
+			Instance: harness.Instance{
+				Policies: hashtable.Policies(),
+				Combine:  hashtable.CombineMixed,
+				NextOp:   nextOp,
+				Elastic: &harness.ElasticPlan{
+					MaxShards: maxShards,
+					Initial:   initial,
+					Slots:     slots,
+					Key:       hashtable.RouteKey,
+					Bind: func(op engine.Op, si int) engine.Op {
+						return hashtable.BindTable(op, tables[si])
+					},
+					Migrate: func(ctx memsim.Ctx, from, to int, old, next *route.Ring) int {
+						return hashtable.MigrateTables(ctx, tables, from, next)
+					},
+				},
 			},
-			model:     model,
-			rank:      insertsLast,
-			maxShards: maxShards,
-			initial:   initial,
-			slots:     slots,
-			key:       hashtable.RouteKey,
-			bind: func(op engine.Op, si int) engine.Op {
-				return hashtable.BindTable(op, tables[si])
-			},
-			migrate: func(ctx memsim.Ctx, from, to int, old, next *route.Ring) int {
-				return hashtable.MigrateTables(ctx, tables, from, next)
-			},
+			model: model,
+			rank:  insertsLast,
 			reshard: func(th *memsim.Thread, e *shard.Elastic, i, perThread int) {
 				switch i {
 				case perThread / 3:
@@ -446,24 +395,65 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 			model.m[k] = true
 		}
 		return &fuzzScenario{
-			policies: avl.Policies(1),
-			combine:  avl.CombineOps,
-			nextOp: func(r *rand.Rand) engine.Op {
-				key := r.Uint64N(48)
-				switch r.IntN(3) {
-				case 0:
-					return avl.InsertOp{T: tree, K: key}
-				case 1:
-					return avl.FindOp{T: tree, K: key}
-				default:
-					return avl.RemoveOp{T: tree, K: key}
-				}
+			Instance: harness.Instance{
+				Policies: avl.Policies(1),
+				Combine:  avl.CombineOps,
+				NextOp: func(r *rand.Rand) engine.Op {
+					key := r.Uint64N(48)
+					switch r.IntN(3) {
+					case 0:
+						return avl.InsertOp{T: tree, K: key}
+					case 1:
+						return avl.FindOp{T: tree, K: key}
+					default:
+						return avl.RemoveOp{T: tree, K: key}
+					}
+				},
 			},
 			model: model,
 			rank:  avlBatchOrder,
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown scenario %q", name)
+	}
+}
+
+// shardedTables builds the n sub-tables of the sharded and elastic
+// workloads, prefills 16 keys drawn from stream into their ring owners
+// (mirrored in a fresh model), and returns the insert-heavy operation
+// generator over them with a few percent whole-structure scans. bound
+// operations carry their table; unbound ones are bound by the engine.
+func shardedTables(env memsim.Env, n int, ring *route.Ring, seed, stream uint64, bound bool) ([]*hashtable.Table, *mapModel, func(r *rand.Rand) engine.Op) {
+	boot := env.Boot()
+	tables := make([]*hashtable.Table, n)
+	for i := range tables {
+		tables[i] = hashtable.New(boot, 16)
+	}
+	model := &mapModel{m: map[uint64]uint64{}}
+	pre := rand.New(rand.NewPCG(seed, stream))
+	for i := 0; i < 16; i++ {
+		k := pre.Uint64N(48)
+		if tables[ring.Owner(k)].Insert(boot, k, k) {
+			model.m[k] = k
+		}
+	}
+	return tables, model, func(r *rand.Rand) engine.Op {
+		if r.Uint64N(100) < 4 {
+			return hashtable.SumAllOp{Tables: tables}
+		}
+		key := r.Uint64N(48)
+		var tbl *hashtable.Table
+		if bound {
+			tbl = tables[ring.Owner(key)]
+		}
+		switch r.IntN(4) {
+		case 0, 1:
+			return hashtable.InsertOp{T: tbl, Key: key, Val: key ^ seed}
+		case 2:
+			return hashtable.FindOp{T: tbl, Key: key}
+		default:
+			return hashtable.RemoveOp{T: tbl, Key: key}
+		}
 	}
 }
 
@@ -533,61 +523,11 @@ func fuzzOne(cfg fuzzCfg, engineName, scenario string, seed uint64) (string, err
 		return "", err
 	}
 
-	var eng engine.Engine
-	var elastic *shard.Elastic
-	opts := engines.Options{Combine: sc.combine}
-	switch engineName {
-	case "Lock":
-		eng = engines.NewLock(env, opts)
-	case "TLE":
-		eng = engines.NewTLE(env, opts)
-	case "FC":
-		eng = engines.NewFC(env, opts)
-	case "SCM":
-		eng = engines.NewSCM(env, opts)
-	case "TLE+FC":
-		eng = engines.NewTLEFC(env, opts)
-	case "HCF":
-		fw, err := core.New(env, core.Config{Policies: sc.policies})
-		if err != nil {
-			return "", err
-		}
-		eng = fw
-	case "HCF-S":
-		if sc.shards == 0 {
-			return "", fmt.Errorf("engine HCF-S needs a sharded scenario (use -scenario sharded)")
-		}
-		se, err := shard.New(env, shard.Config{
-			Shards:   sc.shards,
-			Key:      sc.key,
-			Ring:     sc.ring,
-			Policies: sc.policies,
-		})
-		if err != nil {
-			return "", err
-		}
-		eng = se
-	case "HCF-E":
-		if sc.maxShards == 0 {
-			return "", fmt.Errorf("engine HCF-E needs an elastic scenario (use -scenario elastic)")
-		}
-		ee, err := shard.NewElastic(env, shard.ElasticConfig{
-			MaxShards: sc.maxShards,
-			Initial:   sc.initial,
-			Slots:     sc.slots,
-			Key:       sc.key,
-			Bind:      sc.bind,
-			Migrate:   sc.migrate,
-			Policies:  sc.policies,
-		})
-		if err != nil {
-			return "", err
-		}
-		elastic = ee
-		eng = ee
-	default:
-		return "", fmt.Errorf("unknown engine %q", engineName)
+	eng, err := harness.BuildEngine(engineName, env, sc.Instance, harness.Config{})
+	if err != nil {
+		return "", err
 	}
+	elastic, _ := eng.(*shard.Elastic)
 	we, ok := eng.(engine.WitnessedEngine)
 	if !ok {
 		return "", fmt.Errorf("engine %s is not witnessable", engineName)
@@ -610,7 +550,7 @@ func fuzzOne(cfg fuzzCfg, engineName, scenario string, seed uint64) (string, err
 			if th.ID() == 0 && elastic != nil && sc.reshard != nil {
 				sc.reshard(th, elastic, i, cfg.perThread)
 			}
-			eng.Execute(th, sc.nextOp(rng))
+			eng.Execute(th, sc.NextOp(rng))
 		}
 	})
 	var fr witness.FlightSource

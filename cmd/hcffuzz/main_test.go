@@ -162,4 +162,9 @@ func TestFuzzErrors(t *testing.T) {
 	if err := run([]string{"-engines", "nope", "-seeds", "1"}); err == nil {
 		t.Error("unknown engine accepted")
 	}
+	for _, threads := range []string{"0", "-1"} {
+		if err := run([]string{"-threads", threads, "-seeds", "1"}); err == nil {
+			t.Errorf("-threads %s accepted", threads)
+		}
+	}
 }

@@ -276,7 +276,7 @@ func NewKV(dir string, cfg KVConfig) (*KV, error) { return kvstore.Open(dir, cfg
 // resizing batch bounds — from the metrics recorder's latency/outcome
 // evidence and the trace collector's per-class abort attribution. Every
 // change is appended to a lock-free decision Journal together with the
-// evidence that triggered it (see cmd/hcftune).
+// evidence that triggered it (see hcfbench -fig autotune).
 type (
 	// Tuner rewrites a Framework's per-class policies in epochs.
 	Tuner = adaptive.Tuner

@@ -314,15 +314,6 @@ func TestJournalRenders(t *testing.T) {
 			t.Errorf("Text() missing %q:\n%s", want, text)
 		}
 	}
-	prom := j.Prometheus("pqueue/drift", "HCF-tuned")
-	for _, want := range []string{
-		`hcf_tuner_decisions_total{scenario="pqueue/drift",engine="HCF-tuned",class="insert",rule="grow-private"} 1`,
-		`hcf_tuner_last_decision_time{scenario="pqueue/drift",engine="HCF-tuned"} 900`,
-	} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("Prometheus() missing %q:\n%s", want, prom)
-		}
-	}
 	out, err := j.JSON()
 	if err != nil {
 		t.Fatal(err)

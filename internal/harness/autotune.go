@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -88,6 +89,16 @@ type AutotuneVariant struct {
 	FinalPolicy *adaptive.Snapshot `json:"final_policy,omitempty"`
 	// InvariantViolation is non-empty if the scenario check failed.
 	InvariantViolation string `json:"invariant_violation,omitempty"`
+}
+
+// postDriftOps counts the operations after the first drift point
+// (segments 1..n).
+func (v *AutotuneVariant) postDriftOps() uint64 {
+	var ops uint64
+	for s := 1; s < len(v.SegmentOps); s++ {
+		ops += v.SegmentOps[s]
+	}
+	return ops
 }
 
 // AutotuneReport is the full drifting-workload comparison: every static
@@ -277,11 +288,7 @@ func runAutotuneVariant(name string, budgets [3]int, tuned bool, threads int, cf
 		}
 	}
 	if post := cfg.Horizon - sched.Bound(1); post > 0 {
-		var ops uint64
-		for s := 1; s < segs; s++ {
-			ops += v.SegmentOps[s]
-		}
-		v.PostDrift = float64(ops) * 1e6 / float64(post)
+		v.PostDrift = float64(v.postDriftOps()) * 1e6 / float64(post)
 	}
 	if tun != nil {
 		v.Decisions = tun.Journal().Len()
@@ -353,24 +360,10 @@ func RunAutotune(threads int, cfg Config) (*AutotuneReport, error) {
 		oracle.Throughput = float64(oracle.Ops) * 1e6 / float64(cfg.Horizon)
 	}
 	if post := cfg.Horizon - bounds[0]; post > 0 {
-		var ops uint64
-		for s := 1; s < segs; s++ {
-			ops += oracle.SegmentOps[s]
-		}
-		oracle.PostDrift = float64(ops) * 1e6 / float64(post)
+		oracle.PostDrift = float64(oracle.postDriftOps()) * 1e6 / float64(post)
 	}
 	rep.Variants = append(rep.Variants, oracle)
 	return rep, nil
-}
-
-// Variant finds a variant by name (nil if absent).
-func (r *AutotuneReport) Variant(name string) *AutotuneVariant {
-	for i := range r.Variants {
-		if r.Variants[i].Name == name {
-			return &r.Variants[i]
-		}
-	}
-	return nil
 }
 
 // Tuned returns the autotuned variant (nil if absent).
@@ -399,22 +392,6 @@ func (r *AutotuneReport) BestStatic() *AutotuneVariant {
 	return best
 }
 
-// BestStaticPostDrift returns the static variant with the highest
-// post-drift throughput.
-func (r *AutotuneReport) BestStaticPostDrift() *AutotuneVariant {
-	var best *AutotuneVariant
-	for i := range r.Variants {
-		v := &r.Variants[i]
-		if v.Tuned || v.Oracle {
-			continue
-		}
-		if best == nil || v.PostDrift > best.PostDrift {
-			best = v
-		}
-	}
-	return best
-}
-
 // Results maps the report to standard sweep rows (one per variant over the
 // full horizon, plus a post-drift row per variant) so the autotune figure
 // renders with the existing table and plot machinery.
@@ -430,15 +407,11 @@ func (r *AutotuneReport) Results() []Result {
 			Throughput:         v.Throughput,
 			InvariantViolation: v.InvariantViolation,
 		})
-		var postOps uint64
-		for s := 1; s < len(v.SegmentOps); s++ {
-			postOps += v.SegmentOps[s]
-		}
 		out = append(out, Result{
 			Scenario:   r.Scenario + "/post-drift",
 			Engine:     v.Name,
 			Threads:    r.Threads,
-			Ops:        postOps,
+			Ops:        v.postDriftOps(),
 			Cycles:     r.Horizon - r.Bounds[0],
 			Throughput: v.PostDrift,
 		})
@@ -486,13 +459,47 @@ func (r *AutotuneReport) Record() ([]byte, error) {
 			rows = append(rows, seg)
 		}
 		post := row
-		post.Region, post.Throughput = "post-drift", v.PostDrift
-		for s := 1; s < len(v.SegmentOps); s++ {
-			post.Ops += v.SegmentOps[s]
-		}
+		post.Region, post.Ops, post.Throughput = "post-drift", v.postDriftOps(), v.PostDrift
 		rows = append(rows, post)
 	}
 	return EncodeRecord("autotune", header, rows)
+}
+
+// AutotuneFloor is the least tuned/paper throughput ratio an autotune
+// record may report: the tuner must never become a liability on the
+// workload it was built for.
+const AutotuneFloor = 0.9
+
+// checkAutotuneFloor describes the failure of an autotune record whose
+// tuned run's total throughput is below AutotuneFloor times the HCF-paper
+// run's, or that has one of the two rows without the other ("" = pass).
+func checkAutotuneFloor(r *Record) (string, error) {
+	var tuned, paper *autotuneRow
+	for i, line := range r.Points {
+		var row autotuneRow
+		if err := json.Unmarshal(line, &row); err != nil {
+			return "", fmt.Errorf("harness: autotune point %d: %w", i, err)
+		}
+		if row.Region != "total" {
+			continue
+		}
+		switch {
+		case row.Tuned:
+			tuned = &row
+		case row.Variant == "HCF-paper":
+			paper = &row
+		}
+	}
+	switch {
+	case tuned == nil && paper == nil:
+		return "", nil
+	case tuned == nil || paper == nil:
+		return "autotune record needs both a tuned and an HCF-paper total row", nil
+	case tuned.Throughput < AutotuneFloor*paper.Throughput:
+		return fmt.Sprintf("tuned throughput %.1f is below %.2fx the paper configuration's %.1f",
+			tuned.Throughput, AutotuneFloor, paper.Throughput), nil
+	}
+	return "", nil
 }
 
 // Text renders the comparison as an aligned table plus the tuned run's

@@ -122,6 +122,9 @@ type ElasticPoint struct {
 // shard.Rebalancer once per window so topology decisions are part of
 // the measured run (their lock-the-world cost is charged to the clock).
 func RunPointElastic(sc Scenario, mode string, rebalance bool, threads int, cfg Config, ec ElasticRunConfig) (ElasticPoint, error) {
+	if threads < 1 {
+		return ElasticPoint{}, fmt.Errorf("harness: thread count must be positive, got %d", threads)
+	}
 	cfg.normalize()
 	ec.normalize(cfg.Horizon)
 

@@ -223,50 +223,45 @@ func FigureByID(id string) (Figure, error) {
 	return Figure{}, fmt.Errorf("harness: unknown figure %q", id)
 }
 
+// ownHarness lists the figures that are their own harness, each flattened
+// to sweep rows per thread count: the open-loop offered-load sweep (rate
+// in the scenario label), the three-mode hot-shard healing comparison
+// (mode in the label; its registry scenario is representative only, the
+// runner rebuilds it against cfg.Horizon so the drift schedule scales)
+// and the autotuner comparison (static grid, tuned run and oracle).
+var ownHarness = map[string]func(th int, cfg Config) ([]Result, error){
+	"openloop": func(th int, cfg Config) ([]Result, error) {
+		return resultsOf(RunOpenLoopFigure(th, cfg, OpenLoopConfig{}))
+	},
+	"elastic": func(th int, cfg Config) ([]Result, error) {
+		return resultsOf(RunElasticFigure(th, cfg, ElasticRunConfig{}))
+	},
+	"autotune": func(th int, cfg Config) ([]Result, error) {
+		return resultsOf(RunAutotune(th, cfg))
+	},
+}
+
+func resultsOf(rep interface{ Results() []Result }, err error) ([]Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rep.Results(), nil
+}
+
 // RunFigure executes a figure's sweep. The ablation figure additionally
 // runs its variant scenarios.
 func RunFigure(f Figure, cfg Config) ([]Result, error) {
 	if f.Cost.CoresPerSocket != 0 || f.Cost.Sockets != 0 {
 		cfg.Cost = f.Cost
 	}
-	if f.ID == "openloop" {
-		// The open-loop figure is its own harness: offered-load sweep with
-		// sojourn tails, flattened to sweep rows (rate in the scenario label).
+	if run, ok := ownHarness[f.ID]; ok {
 		var results []Result
 		for _, th := range f.Threads {
-			rep, err := RunOpenLoopFigure(th, cfg, OpenLoopConfig{})
+			rows, err := run(th, cfg)
 			if err != nil {
 				return nil, err
 			}
-			results = append(results, rep.Results()...)
-		}
-		return results, nil
-	}
-	if f.ID == "elastic" {
-		// The elastic figure is its own harness: three-mode hot-shard
-		// healing comparison, flattened to sweep rows (mode in the label).
-		// The registry scenario is representative only — the runner
-		// rebuilds it against cfg.Horizon so the drift schedule scales.
-		var results []Result
-		for _, th := range f.Threads {
-			rep, err := RunElasticFigure(th, cfg, ElasticRunConfig{})
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, rep.Results()...)
-		}
-		return results, nil
-	}
-	if f.ID == "autotune" {
-		// The autotune figure is its own harness: static grid + tuned run +
-		// oracle over the drifting workload, flattened to sweep rows.
-		var results []Result
-		for _, th := range f.Threads {
-			rep, err := RunAutotune(th, cfg)
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, rep.Results()...)
+			results = append(results, rows...)
 		}
 		return results, nil
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -152,15 +151,6 @@ func RecordOf(r Result) ResultRecord {
 		rec.PhaseByClass = append(rec.PhaseByClass, row)
 	}
 	return rec
-}
-
-// FormatJSON renders one result as an indented JSON object.
-func FormatJSON(r Result) (string, error) {
-	out, err := json.MarshalIndent(RecordOf(r), "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }
 
 // SweepConfig is the header config of a figure-sweep record: the thread

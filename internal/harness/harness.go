@@ -222,7 +222,7 @@ func BuildEngine(name string, env memsim.Env, inst Instance, cfg Config) (engine
 		})
 	case ShardedEngineName:
 		if inst.Sharding == nil {
-			return nil, fmt.Errorf("harness: engine %q needs a scenario with a sharding plan (Instance.Sharding is nil)", name)
+			return nil, fmt.Errorf("harness: engine %q needs a sharded scenario (one with a sharding plan; Instance.Sharding is nil)", name)
 		}
 		return shard.New(env, shard.Config{
 			Shards:            inst.Sharding.Shards,
@@ -234,7 +234,7 @@ func BuildEngine(name string, env memsim.Env, inst Instance, cfg Config) (engine
 		})
 	case ElasticEngineName:
 		if inst.Elastic == nil {
-			return nil, fmt.Errorf("harness: engine %q needs a scenario with an elastic sharding plan (Instance.Elastic is nil)", name)
+			return nil, fmt.Errorf("harness: engine %q needs an elastic scenario (one with an elastic sharding plan; Instance.Elastic is nil)", name)
 		}
 		return shard.NewElastic(env, shard.ElasticConfig{
 			MaxShards:         inst.Elastic.MaxShards,
@@ -297,6 +297,9 @@ type phaseBreakdowner interface {
 // configuration, and the report and event stream are themselves
 // bit-identical across same-seed runs.
 func RunPointWith(sc Scenario, engineName string, threads int, cfg Config, opts PointOptions) (Result, *metrics.Report, *trace.Collector, error) {
+	if threads < 1 {
+		return Result{}, nil, nil, fmt.Errorf("harness: thread count must be positive, got %d", threads)
+	}
 	cfg.normalize()
 	env := memsim.NewDet(memsim.DetConfig{
 		Threads:      threads,

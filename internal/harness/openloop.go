@@ -390,7 +390,9 @@ type OpenLoopReport struct {
 // RunOpenLoopSweep measures every engine at every offered rate. Points run
 // concurrently across host cores (bounded by cfg.Parallel) — each owns a
 // fresh deterministic environment, so results are identical, in identical
-// (rate-major, engine-minor) order, at any parallelism.
+// (rate-major, engine-minor) order, at any parallelism. An ol.Observer is
+// attached to every point in turn, so the points then run serially and
+// the one observer always describes the point in flight.
 func RunOpenLoopSweep(sc Scenario, engineNames []string, rates []float64, threads int, cfg Config, ol OpenLoopConfig) (*OpenLoopReport, error) {
 	cfg.normalize()
 	ol.normalize(cfg.Horizon)
@@ -419,7 +421,6 @@ func RunOpenLoopSweep(sc Scenario, engineNames []string, rates []float64, thread
 	run := func(i int) error {
 		olp := ol
 		olp.Rate = pts[i].rate
-		olp.Observer = nil // observers attach to single points, not sweeps
 		p, _, err := RunPointOpenLoop(sc, pts[i].name, threads, cfg, olp)
 		if err != nil {
 			return err
@@ -433,6 +434,9 @@ func RunOpenLoopSweep(sc Scenario, engineNames []string, rates []float64, thread
 	}
 	if par > len(pts) {
 		par = len(pts)
+	}
+	if ol.Observer != nil {
+		par = 1
 	}
 	if par <= 1 {
 		for i := range pts {

@@ -105,3 +105,18 @@ func supports(t *testing.T, sc Scenario, name string) (metered, traced bool) {
 	_, traced = eng.(engine.TracedEngine)
 	return metered, traced
 }
+
+// TestRunPointRejectsNonPositiveThreads pins that a thread count below
+// one is an error from the point runners, not a panic in the simulator.
+func TestRunPointRejectsNonPositiveThreads(t *testing.T) {
+	cfg := Config{Horizon: 1_000, Seed: 1}
+	for _, threads := range []int{0, -1} {
+		if _, _, _, err := RunPointWith(StackScenario(64), "HCF", threads, cfg, PointOptions{}); err == nil {
+			t.Errorf("RunPointWith accepted %d threads", threads)
+		}
+		sc := ElasticScenario(40, ElasticBuckets, ElasticMaxShards, ElasticInitialShards, 0, 10_000)
+		if _, err := RunPointElastic(sc, "elastic", true, threads, cfg, ElasticRunConfig{}); err == nil {
+			t.Errorf("RunPointElastic accepted %d threads", threads)
+		}
+	}
+}

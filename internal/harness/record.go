@@ -120,8 +120,9 @@ func ParseRecord(data []byte) (*Record, error) {
 
 // CheckRecord fails on any point that reports a correctness failure: a
 // non-empty invariant_violation (every simulator figure) or recovery_ok
-// false (the kv figure's crash-recovery replay). It runs on every
-// hcfbench record, gated or not.
+// false (the kv figure's crash-recovery replay), and on an autotune
+// record whose tuned run falls below AutotuneFloor times the paper
+// configuration. It runs on every hcfbench record, gated or not.
 func CheckRecord(r *Record) error {
 	var fails []string
 	for i, line := range r.Points {
@@ -137,6 +138,15 @@ func CheckRecord(r *Record) error {
 		}
 		if p.RecoveryOK != nil && !*p.RecoveryOK {
 			fails = append(fails, fmt.Sprintf("point %d: crash-recovery replay mismatch", i))
+		}
+	}
+	if r.Figure == "autotune" {
+		fail, err := checkAutotuneFloor(r)
+		if err != nil {
+			return err
+		}
+		if fail != "" {
+			fails = append(fails, fail)
 		}
 	}
 	if len(fails) > 0 {

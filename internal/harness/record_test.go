@@ -236,6 +236,30 @@ func TestCheckRecordBadPoint(t *testing.T) {
 	}
 }
 
+// TestCheckRecordAutotuneFloor pins the autotune record's correctness
+// rule: the tuned run must reach AutotuneFloor times the paper
+// configuration's total throughput, and a record with only one of the
+// two rows fails.
+func TestCheckRecordAutotuneFloor(t *testing.T) {
+	paper := AutotuneVariant{Name: "HCF-paper", Throughput: 1000}
+	for _, tc := range []struct {
+		name     string
+		variants []AutotuneVariant
+		ok       bool
+	}{
+		{"at the floor", []AutotuneVariant{paper, {Name: "HCF-tuned", Tuned: true, Throughput: 900}}, true},
+		{"below the floor", []AutotuneVariant{paper, {Name: "HCF-tuned", Tuned: true, Throughput: 899}}, false},
+		{"no tuned row", []AutotuneVariant{paper}, false},
+		{"no paper row", []AutotuneVariant{{Name: "HCF-tuned", Tuned: true, Throughput: 900}}, false},
+	} {
+		rep := &AutotuneReport{Variants: tc.variants}
+		err := CheckRecord(readBack(t, rep.Record))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: CheckRecord = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestCheckedInRecords reads every bench/*.jsonl record through the one
 // reader and pins its figure. The elastic CI job gates its record
 // exactly, so this test also keeps the healing story that record tells

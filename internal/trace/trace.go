@@ -460,66 +460,31 @@ func (c *Collector) SelectionStats() Selections {
 	return Selections{Count: st.count, Min: st.min, Median: st.median, Max: st.max, Mean: st.mean}
 }
 
-// Summary renders an aggregate report.
+// Summary renders SummaryData as an aggregate report.
 func (c *Collector) Summary() string {
-	shards := c.snapshot()
+	d := c.SummaryData()
 	var b strings.Builder
-	fmt.Fprintf(&b, "operations started: %d\n", c.Starts())
-
+	fmt.Fprintf(&b, "operations started: %d\n", d.Starts)
 	fmt.Fprintf(&b, "speculative attempts by phase and outcome:\n")
-	for p := core.Phase(0); p < core.NumPhases; p++ {
-		var byReason [htm.NumReasons]uint64
-		var total uint64
-		for _, s := range shards {
-			if s == nil {
-				continue
-			}
-			for r, n := range s.attempts[p] {
-				byReason[r] += n
-				total += n
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-16s total %-8d", p, total)
-		fmt.Fprintf(&b, "commit %d", byReason[htm.ReasonNone])
+	for _, pa := range d.Attempts {
+		fmt.Fprintf(&b, "  %-16s total %-8dcommit %d", pa.Phase, pa.Total, pa.Commits)
 		for r := htm.ReasonConflict; r < htm.NumReasons; r++ {
-			if n := byReason[r]; n > 0 {
+			if n := pa.Aborts[r.String()]; n > 0 {
 				fmt.Fprintf(&b, ", %s %d", r, n)
 			}
 		}
 		b.WriteByte('\n')
 	}
-
 	fmt.Fprintf(&b, "completions by phase (self / helped):\n")
-	for p := core.Phase(0); p < core.NumPhases; p++ {
-		var dones, helped uint64
-		for _, s := range shards {
-			if s == nil {
-				continue
-			}
-			dones += s.dones[p]
-			helped += s.helped[p]
-		}
-		if dones == 0 && helped == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-16s %d / %d\n", p, dones-helped, helped)
+	for _, pc := range d.Completions {
+		fmt.Fprintf(&b, "  %-16s %d / %d\n", pc.Phase, pc.Self, pc.Helped)
 	}
-
-	if sel := c.selections(); sel.count > 0 {
+	if sel := d.Selections; sel != nil {
 		fmt.Fprintf(&b, "combiner selections: %d (sizes min %d, median %d, max %d, mean %.1f)\n",
-			sel.count, sel.min, sel.median, sel.max, sel.mean)
+			sel.Count, sel.Min, sel.Median, sel.Max, sel.Mean)
 	}
-	var locks uint64
-	for _, s := range shards {
-		if s != nil {
-			locks += s.locks
-		}
-	}
-	fmt.Fprintf(&b, "lock acquisitions by combiners: %d\n", locks)
-	if hot := c.HotLines(5); len(hot) > 0 {
+	fmt.Fprintf(&b, "lock acquisitions by combiners: %d\n", d.Locks)
+	if hot := d.HotLines[:min(5, len(d.HotLines))]; len(hot) > 0 {
 		fmt.Fprintf(&b, "hottest conflicting cache lines (line: aborts, dominant writer):\n")
 		for _, hl := range hot {
 			writer := "unknown"
@@ -529,9 +494,9 @@ func (c *Collector) Summary() string {
 			fmt.Fprintf(&b, "  line %-8d %-8d %s\n", hl.Line, hl.Aborts, writer)
 		}
 	}
-	if dropped := c.Dropped(); dropped > 0 {
+	if d.Dropped > 0 {
 		fmt.Fprintf(&b, "events dropped at Limit=%d: %d (retained %d per-thread newest; counters above cover all events)\n",
-			c.Limit, dropped, c.Retained())
+			c.Limit, d.Dropped, d.Retained)
 	}
 	return b.String()
 }
@@ -639,7 +604,6 @@ func (c *Collector) SummaryData() SummaryData {
 	shards := c.snapshot()
 	data := SummaryData{
 		Starts:   c.Starts(),
-		Locks:    0,
 		HotLines: c.HotLines(10),
 		Retained: c.Retained(),
 		Dropped:  c.Dropped(),

@@ -19,8 +19,8 @@
 //
 // All engines in this module (the HCF framework and the five baselines)
 // accept a recorder via SetRecorder; a nil recorder leaves only a nil
-// check on the hot path. See cmd/hcfmetrics for a ready-made command and
-// docs/OBSERVABILITY.md for the full guide.
+// check on the hot path. See hcfstat -format metrics|metrics-json|csv|prom
+// for a ready-made command and docs/OBSERVABILITY.md for the full guide.
 package metrics
 
 import "hcf/internal/metrics"

@@ -9,7 +9,8 @@
 //	env.Run(...)
 //	fmt.Print(col.Summary())
 //
-// See cmd/hcftrace for a ready-made command built on this package.
+// See hcfstat -format trace|trace-json|chrome for a ready-made command
+// built on this package.
 package tracing
 
 import "hcf/internal/trace"
