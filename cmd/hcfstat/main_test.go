@@ -82,6 +82,27 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%v accepted", args)
 		}
 	}
+	// Out-of-range workload parameters are errors that name the value,
+	// not panics in the scenario constructor or its setup.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-find", "101"}, "find percentage 101"},
+		{[]string{"-find", "-1", "-format", "trace"}, "find percentage -1"},
+		{[]string{"-scenario", "sharded", "-shards", "0"}, "1 <= shards <= buckets, got 0"},
+		{[]string{"-scenario", "sharded", "-cross", "101"}, "cross percentage 101"},
+		{[]string{"-scenario", "sharded", "-hot", "-1", "-format", "metrics"}, "hot percentage -1"},
+		{[]string{"-scenario", "avl", "-theta", "1"}, "theta 1 outside"},
+		{[]string{"-scenario", "sortedlist", "-find", "200"}, "find percentage 200"},
+		{[]string{"-scenario", "elastic", "-find", "101"}, "find percentage 101"},
+		{[]string{"-scenario", "elastic", "-hot", "101"}, "hot percentage 101"},
+	} {
+		args := append(c.args, "-threads", "2", "-horizon", "5000")
+		if err := run(args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: got %v, want an error containing %q", args, err, c.want)
+		}
+	}
 	// Flags the chosen scenario or format would silently ignore are errors.
 	for _, args := range [][]string{
 		{"-scenario", "pqueue", "-find", "90"},
@@ -304,6 +325,38 @@ func TestChromeOutput(t *testing.T) {
 		if !kinds[want] {
 			t.Errorf("chrome trace has no %q slices", want)
 		}
+	}
+}
+
+// TestShardedTraceFormats traces the sharded engine, whose shards number
+// their spans independently: the trace must reconstruct one span per
+// started operation, and the chrome format must parse.
+func TestShardedTraceFormats(t *testing.T) {
+	args := []string{"-scenario", "sharded", "-engine", "HCF-S", "-threads", "6", "-horizon", "20000"}
+	var doc struct {
+		Ops     uint64 `json:"ops"`
+		Summary struct {
+			Starts uint64 `json:"starts"`
+		} `json:"summary"`
+		Spans struct {
+			Spans uint64 `json:"spans"`
+		} `json:"spans"`
+	}
+	out := captureRun(t, append(args, "-format", "trace-json")...)
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("trace-json output does not parse: %v", err)
+	}
+	if doc.Ops == 0 || doc.Summary.Starts != doc.Ops || doc.Spans.Spans != doc.Ops {
+		t.Errorf("starts %d / spans %d / ops %d disagree", doc.Summary.Starts, doc.Spans.Spans, doc.Ops)
+	}
+	if out := captureRun(t, append(args, "-format", "trace")...); !strings.Contains(out, "engine HCF-S") {
+		t.Errorf("trace output does not name the engine:\n%s", out)
+	}
+	var chrome struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(captureRun(t, append(args, "-format", "chrome")...)), &chrome); err != nil || len(chrome.TraceEvents) == 0 {
+		t.Errorf("chrome output: %d events, error %v", len(chrome.TraceEvents), err)
 	}
 }
 

@@ -69,6 +69,10 @@ type Scenario struct {
 	// Setup builds and prefills the data structure in env and returns the
 	// scenario instance. It runs on the bootstrap thread.
 	Setup func(env memsim.Env, seed uint64) Instance
+	// Err is set, and Setup nil, when the constructor rejected its
+	// parameters (a find percentage above 100, say). Every function that
+	// runs a scenario returns Err before measuring anything.
+	Err error
 }
 
 // Instance is one constructed data structure plus its engine plumbing.
@@ -297,6 +301,9 @@ type phaseBreakdowner interface {
 // configuration, and the report and event stream are themselves
 // bit-identical across same-seed runs.
 func RunPointWith(sc Scenario, engineName string, threads int, cfg Config, opts PointOptions) (Result, *metrics.Report, *trace.Collector, error) {
+	if sc.Err != nil {
+		return Result{}, nil, nil, sc.Err
+	}
 	if threads < 1 {
 		return Result{}, nil, nil, fmt.Errorf("harness: thread count must be positive, got %d", threads)
 	}

@@ -85,8 +85,8 @@ func Instrument(eng engine.Engine, inst *Instance, threads int) (*metrics.Record
 // InstrumentTrace installs a lifecycle-trace collector on eng. limit > 0
 // turns the collector into a bounded flight recorder (limit most recent
 // events per thread); limit == 0 retains everything. It fails only for
-// engines that do not implement core.TracedEngine (all six in this
-// repository do).
+// engines that do not implement core.TracedEngine (every engine in this
+// repository does).
 func InstrumentTrace(eng engine.Engine, limit int) (*trace.Collector, error) {
 	te, ok := eng.(core.TracedEngine)
 	if !ok {

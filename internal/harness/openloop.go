@@ -184,6 +184,9 @@ type OpenLoopPoint struct {
 // ticks, all at zero simulated cost — results are bit-identical for a
 // given (cfg.Seed, rate) with or without observers attached.
 func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol OpenLoopConfig) (OpenLoopPoint, *metrics.Report, error) {
+	if sc.Err != nil {
+		return OpenLoopPoint{}, nil, sc.Err
+	}
 	cfg.normalize()
 	ol.normalize(cfg.Horizon)
 	if ol.Rate <= 0 {

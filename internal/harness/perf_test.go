@@ -11,13 +11,15 @@ import (
 
 // TestGoldenResults pins the simulated results of fixed-seed reference
 // sweeps — every engine, several structures — to golden files recorded
-// before the host-side performance work (run-until-preempted scheduling,
-// passive spin-waits and their stepping up to the next possible writer,
+// before the host-side performance work it guards (run-until-preempted
+// scheduling, passive spin-waits, waiters parked off the scheduler heap,
 // pooled HTM read/write sets). Any divergence means a host-side
 // optimization changed simulated behaviour, which is a bug by definition:
 // these optimizations must be invisible at the cycle level. The 8- to
 // 72-thread and explored cases cover the convoys of passive waiters that
-// barely form at 4 threads.
+// barely form at 4 threads. The 36-thread explored case puts injected
+// preemptions, which can lower the running thread's key, among convoys of
+// parked waiters.
 func TestGoldenResults(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -35,6 +37,8 @@ func TestGoldenResults(t *testing.T) {
 		{"2b-72", "golden_hashtable80_numa72.jsonl", "2b", []int{72}, 30_000, 3, memsim.ExploreConfig{}},
 		{"2c-explored", "golden_hashtable40_explored12.jsonl", "2c", []int{12}, 30_000, 11,
 			memsim.ExploreConfig{Seed: 17, PreemptBudget: 48, JitterClass: 2}},
+		{"2c-explored36", "golden_hashtable40_explored36.jsonl", "2c", []int{36}, 30_000, 11,
+			memsim.ExploreConfig{Seed: 29, PreemptBudget: 64, JitterClass: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

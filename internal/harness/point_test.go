@@ -120,3 +120,32 @@ func TestRunPointRejectsNonPositiveThreads(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsBadScenario checks that a constructor given out-of-range
+// parameters returns a scenario carrying the error, and that every point
+// runner returns it instead of setting the scenario up.
+func TestRunRejectsBadScenario(t *testing.T) {
+	cfg := Config{Horizon: 1_000, Seed: 1}
+	for _, sc := range []Scenario{
+		HashTableScenario(101, 64),
+		HashTableBudgetScenario(-1, 64, 2, 3, 5),
+		ShardedHashTableScenario(40, 64, 0, 0, 0),
+		AVLScenario(40, 64, 1.5, AVLCombining),
+		PQScenario(101, 64, 8),
+	} {
+		if sc.Err == nil || sc.Setup != nil {
+			t.Errorf("%q: Err %v, Setup set %v; want an error and no Setup", sc.Name, sc.Err, sc.Setup != nil)
+			continue
+		}
+		if _, _, _, err := RunPointWith(sc, "HCF", 2, cfg, PointOptions{}); err != sc.Err {
+			t.Errorf("RunPointWith returned %v, want %v", err, sc.Err)
+		}
+		if _, _, err := RunPointOpenLoop(sc, "HCF", 2, cfg, OpenLoopConfig{Rate: 1000}); err != sc.Err {
+			t.Errorf("RunPointOpenLoop returned %v, want %v", err, sc.Err)
+		}
+	}
+	sc := ElasticScenario(40, ElasticBuckets, ElasticMaxShards, ElasticInitialShards, 101, 10_000)
+	if _, err := RunPointElastic(sc, "elastic", true, 2, cfg, ElasticRunConfig{}); err == nil || err != sc.Err {
+		t.Errorf("RunPointElastic returned %v, want the scenario's error %v", err, sc.Err)
+	}
+}

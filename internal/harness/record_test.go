@@ -278,11 +278,15 @@ func TestCheckedInRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != len(want) {
-		t.Errorf("bench/ has %d records, want %d: %v", len(files), len(want), files)
+	if len(files) != len(want)+1 {
+		t.Errorf("bench/ has %d files, want %d records plus HISTORY.jsonl: %v", len(files), len(want), files)
 	}
 	for _, path := range files {
 		name := filepath.Base(path)
+		if name == "HISTORY.jsonl" {
+			checkHistory(t, path)
+			continue
+		}
 		figure, ok := want[name]
 		if !ok {
 			t.Errorf("%s: no figure pinned for this record", name)
@@ -309,5 +313,54 @@ func TestCheckedInRecords(t *testing.T) {
 				t.Errorf("%s: %v", name, err)
 			}
 		}
+	}
+}
+
+// historyLine is one line of bench/HISTORY.jsonl: the headline numbers of
+// one change, appended when it lands.
+type historyLine struct {
+	// Change names the change in a few words.
+	Change string `json:"change"`
+	// Host is the host block of the change's HOSTSPEED.jsonl record; its
+	// commit identifies the line.
+	Host      Host `json:"host"`
+	HostSpeed struct {
+		SimMcyclesPerHostSec float64 `json:"sim_mcycles_per_host_sec"`
+		Handoffs             uint64  `json:"handoffs"`
+		HeapSwaps            uint64  `json:"heap_swaps"`
+		WaitSteps            uint64  `json:"wait_steps"`
+	} `json:"hostspeed"`
+	// HCFOpsPerMcycle is perfbench's sim.hcf_ops_per_mcycle.
+	HCFOpsPerMcycle float64 `json:"sim.hcf_ops_per_mcycle"`
+}
+
+// checkHistory parses every line of the append-only history, with no
+// unknown or missing field, and rejects a commit that appears twice.
+func checkHistory(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	for i, line := range lines {
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		var h historyLine
+		if err := dec.Decode(&h); err != nil {
+			t.Errorf("HISTORY.jsonl line %d: %v", i+1, err)
+			continue
+		}
+		hs := h.HostSpeed
+		if h.Change == "" || h.Host.Commit == "" || h.Host.GoVersion == "" || h.Host.NumCPU == 0 ||
+			hs.SimMcyclesPerHostSec <= 0 || hs.Handoffs == 0 || hs.HeapSwaps == 0 || hs.WaitSteps == 0 ||
+			h.HCFOpsPerMcycle <= 0 {
+			t.Errorf("HISTORY.jsonl line %d has an empty field: %s", i+1, line)
+		}
+		if prev, dup := seen[h.Host.Commit]; dup {
+			t.Errorf("HISTORY.jsonl line %d repeats commit %s of line %d", i+1, h.Host.Commit, prev)
+		}
+		seen[h.Host.Commit] = i + 1
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 
@@ -24,7 +25,7 @@ import (
 func HashTableScenario(findPct, buckets int) Scenario {
 	mix, err := workload.UpdateMix(findPct)
 	if err != nil {
-		panic(err) // static misconfiguration
+		return Scenario{Err: err}
 	}
 	return Scenario{
 		Name: fmt.Sprintf("hashtable/find=%d%%", findPct),
@@ -79,8 +80,9 @@ const (
 // membership tests.
 func AVLScenario(findPct int, keyRange uint64, theta float64, variant AVLVariant) Scenario {
 	mix, err := workload.UpdateMix(findPct)
+	err = errors.Join(err, workload.CheckTheta(theta))
 	if err != nil {
-		panic(err)
+		return Scenario{Err: err}
 	}
 	name := fmt.Sprintf("avl/find=%d%%/theta=%.1f", findPct, theta)
 	switch variant {
@@ -143,6 +145,9 @@ func AVLScenario(findPct int, keyRange uint64, theta float64, variant AVLVariant
 // range of data structures and workloads" (§3.3).
 func HashTableBudgetScenario(findPct, buckets, private, visible, combining int) Scenario {
 	base := HashTableScenario(findPct, buckets)
+	if base.Err != nil {
+		return base
+	}
 	return Scenario{
 		Name: fmt.Sprintf("%s/budget=%d-%d-%d", base.Name, private, visible, combining),
 		Setup: func(env memsim.Env, seed uint64) Instance {
@@ -161,8 +166,9 @@ func HashTableBudgetScenario(findPct, buckets, private, visible, combining int) 
 // Zipfian keys.
 func SkipSetScenario(findPct int, keyRange uint64, theta float64) Scenario {
 	mix, err := workload.UpdateMix(findPct)
+	err = errors.Join(err, workload.CheckTheta(theta))
 	if err != nil {
-		panic(err)
+		return Scenario{Err: err}
 	}
 	return Scenario{
 		Name: fmt.Sprintf("skipset/find=%d%%/theta=%.1f", findPct, theta),
@@ -203,7 +209,7 @@ func SkipSetScenario(findPct int, keyRange uint64, theta float64) Scenario {
 func SortedListScenario(findPct int, keyRange uint64) Scenario {
 	mix, err := workload.UpdateMix(findPct)
 	if err != nil {
-		panic(err)
+		return Scenario{Err: err}
 	}
 	return Scenario{
 		Name: fmt.Sprintf("sortedlist/find=%d%%", findPct),
@@ -237,8 +243,8 @@ func SortedListScenario(findPct int, keyRange uint64) Scenario {
 // QueueScenario is a FIFO queue under enqPct% enqueues, with per-end
 // publication arrays and chain-splicing combiners.
 func QueueScenario(enqPct, prefill int) Scenario {
-	if enqPct < 0 || enqPct > 100 {
-		panic("harness: enqPct out of range")
+	if err := workload.CheckPercent("enqueue", enqPct); err != nil {
+		return Scenario{Err: err}
 	}
 	return Scenario{
 		Name: fmt.Sprintf("queue/enq=%d%%", enqPct),
@@ -269,8 +275,9 @@ func QueueScenario(enqPct, prefill int) Scenario {
 // speculation, with the same combining/elimination discipline under skew.
 func BTreeScenario(findPct int, keyRange uint64, theta float64) Scenario {
 	mix, err := workload.UpdateMix(findPct)
+	err = errors.Join(err, workload.CheckTheta(theta))
 	if err != nil {
-		panic(err)
+		return Scenario{Err: err}
 	}
 	return Scenario{
 		Name: fmt.Sprintf("btree/find=%d%%/theta=%.1f", findPct, theta),
@@ -309,8 +316,8 @@ func BTreeScenario(findPct int, keyRange uint64, theta float64) Scenario {
 // Inserts of uniform priorities, the rest RemoveMins, over a queue
 // prefilled with `prefill` elements.
 func PQScenario(insertPct int, keyRange uint64, prefill int) Scenario {
-	if insertPct < 0 || insertPct > 100 {
-		panic("harness: insertPct out of range")
+	if err := workload.CheckPercent("insert", insertPct); err != nil {
+		return Scenario{Err: err}
 	}
 	return Scenario{
 		Name: fmt.Sprintf("pqueue/insert=%d%%", insertPct),

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 
@@ -28,18 +29,19 @@ import (
 // with ElasticEngineName, not the fixed-topology engines.
 func ElasticScenario(findPct, buckets, maxShards, initial, hotPct int, horizon int64) Scenario {
 	mix, err := workload.UpdateMix(findPct)
-	if err != nil {
-		panic(err) // static misconfiguration
-	}
+	err = errors.Join(err, workload.CheckPercent("hot", hotPct))
 	if maxShards < 1 || initial < 1 || initial > maxShards || buckets < maxShards {
-		panic(fmt.Sprintf("harness: elastic hash table needs 1 <= initial <= maxShards <= buckets, got %d/%d over %d",
+		err = errors.Join(err, fmt.Errorf("harness: elastic hash table needs 1 <= initial <= maxShards <= buckets, got %d/%d over %d",
 			initial, maxShards, buckets))
 	}
 	if hotPct > 0 && initial < 2 {
-		panic("harness: drifting skew needs at least 2 initially active shards")
+		err = errors.Join(err, errors.New("harness: drifting skew needs at least 2 initially active shards"))
 	}
 	if horizon <= 0 {
-		panic("harness: elastic scenario needs a positive horizon for its drift schedule")
+		err = errors.Join(err, errors.New("harness: elastic scenario needs a positive horizon for its drift schedule"))
+	}
+	if err != nil {
+		return Scenario{Err: err}
 	}
 	name := fmt.Sprintf("hashtable-elastic/%dof%d/find=%d%%", initial, maxShards, findPct)
 	if hotPct > 0 {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 
@@ -24,14 +25,12 @@ import (
 // this scenario the direct sharded-vs-single comparison point.
 func ShardedHashTableScenario(findPct, buckets, shards, crossPct, hotPct int) Scenario {
 	mix, err := workload.UpdateMix(findPct)
-	if err != nil {
-		panic(err) // static misconfiguration
-	}
+	err = errors.Join(err, workload.CheckPercent("cross", crossPct), workload.CheckPercent("hot", hotPct))
 	if shards < 1 || buckets < shards {
-		panic(fmt.Sprintf("harness: sharded hash table needs 1 <= shards <= buckets, got %d over %d", shards, buckets))
+		err = errors.Join(err, fmt.Errorf("harness: sharded hash table needs 1 <= shards <= buckets, got %d over %d", shards, buckets))
 	}
-	if crossPct < 0 || crossPct > 100 {
-		panic(fmt.Sprintf("harness: cross percentage %d outside [0,100]", crossPct))
+	if err != nil {
+		return Scenario{Err: err}
 	}
 	name := fmt.Sprintf("hashtable-sharded/%d/find=%d%%/cross=%d%%", shards, findPct, crossPct)
 	if hotPct > 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"strings"
 )
 
 const (
@@ -21,6 +22,24 @@ type detPage struct {
 	// lastW records the last thread to commit a write to each line
 	// (-1 = none); used by the coherence cost model.
 	lastW [pageLines]int32
+	// watched has one bit per line, set while a parked waiter may watch
+	// the line (see DetEnv.park). A stale bit costs one scan of the
+	// parked set at the line's next write.
+	watched [pageLines / 64]uint64
+}
+
+// isWatched reports whether line index li of p has its watched bit set.
+func (p *detPage) isWatched(li uint32) bool {
+	return p.watched[li/64]&(1<<(li%64)) != 0
+}
+
+// setWatched sets or clears line index li's watched bit.
+func (p *detPage) setWatched(li uint32, on bool) {
+	if on {
+		p.watched[li/64] |= 1 << (li % 64)
+	} else {
+		p.watched[li/64] &^= 1 << (li % 64)
+	}
 }
 
 func newDetPage() *detPage {
@@ -67,11 +86,13 @@ type DetConfig struct {
 // only host time is saved.
 //
 // Threads in a passive spin-wait (SpinLoadUntilEq, SpinUntilEitherEq) are
-// stepped inline by the scheduler, and a waiter at the heap top is stepped
-// in a tight loop up to the next entry that could write (see dispatch)
-// rather than re-heaped after every quantum. That too is exact: a waiter's
-// step touches only its own clock, cache, jitter state and counters, and a
-// predicate that is false stays false until some active thread writes.
+// stepped inline by the scheduler. A waiter whose predicate is false in
+// memory leaves the heap and parks on the lines it watches (see park);
+// the running thread catches it up and returns it to the heap just before
+// it writes one of those lines (see wake). That too is exact: a waiter's
+// step reads only its own clock, cache, jitter state and counters plus
+// the watched lines, so the steps the heap would have interleaved with
+// other threads can all be taken at the write, in the same order.
 type DetEnv struct {
 	n    int
 	cost CostParams
@@ -92,6 +113,12 @@ type DetEnv struct {
 	waits   []detWait
 	panicV  any
 
+	// parked lists the passive waiters that are out of the heap (see
+	// park). cur is the running thread's (key, id) at its last passed
+	// scheduling check: parked waiters are caught up to it.
+	parked []int32
+	cur    detEnt
+
 	// The worker coroutines of the current Run (see Run). handoff is the
 	// thread the driver resumes next, set by the thread that yields or
 	// retires; -1 ends the run.
@@ -111,9 +138,10 @@ type DetEnv struct {
 // detWait is a worker thread's declarative wait state. While passive, the
 // thread's coroutine stays suspended and its spin-loop events (access
 // charges, seqlock reads, yield charges) are executed inline, one
-// scheduling quantum per step, by whichever coroutine is dispatching at that
-// moment. The step stream is bit-identical to the open-coded spin loop the
-// primitive replaces; only the host context switches are elided.
+// scheduling quantum per step, by whichever coroutine is dispatching or
+// writing at that moment. The step stream is bit-identical to the
+// open-coded spin loop the primitive replaces; only the host context
+// switches are elided.
 type detWait struct {
 	passive bool
 	kind    uint8
@@ -143,7 +171,7 @@ type HostWork struct {
 	// sift-down, the cost of choosing the next thread.
 	HeapSwaps uint64
 	// WaitSteps counts the passive-wait quanta the scheduler stepped
-	// inline (stepWait calls).
+	// inline (stepWait calls), whether at the heap top or in a catch-up.
 	WaitSteps uint64
 }
 
@@ -230,7 +258,9 @@ var errUnwind = errors.New("memsim: virtual thread unwound")
 // Run executes body once per worker thread under the deterministic
 // scheduler and returns when every body has returned. It must not be called
 // concurrently with itself. A panic in any body is re-raised from Run after
-// the remaining threads have finished. A body that calls runtime.Goexit
+// the remaining threads have finished. If every remaining thread waits in
+// SpinLoadUntilEq or SpinUntilEitherEq on memory that no thread is left to
+// write, Run panics with a message naming them. A body that calls runtime.Goexit
 // (t.FailNow, for example) ends Run's own goroutine: every other thread is
 // unwound first, by a panic that runs its deferred calls, and then the
 // Goexit reaches Run's caller.
@@ -292,35 +322,37 @@ func (e *DetEnv) worker(id int, body func(th *Thread)) iter.Seq[struct{}] {
 }
 
 // unwind stops every coroutine that has not finished, which happens only
-// when Run leaves early by a panic or a Goexit, and ends the run.
+// when Run leaves early by a panic, a Goexit or a deadlock, and ends the
+// run. Waiters still parked lose their line marks, so the environment can
+// run again.
 func (e *DetEnv) unwind() {
 	for i, stop := range e.stop {
 		stop() // a no-op once the coroutine has finished
 		e.next[i], e.stop[i], e.yield[i] = nil, nil, nil
 	}
+	for _, id := range e.parked {
+		e.markWatched(&e.waits[id], false)
+	}
+	e.parked = e.parked[:0]
 	e.running = false
 }
 
 // schedPoint preempts the calling virtual thread if it is no longer the
-// minimum-(clock, id) runnable thread. The common case — still minimum —
-// is a heap peek with no synchronization at all (and this function is small
-// enough to inline into Access/Work/Yield); a switch yields to Run's
-// driver, which resumes the new minimum thread.
+// minimum-(key, id) runnable thread. The common case — still minimum —
+// is a heap peek with no synchronization at all, and records the passed
+// (key, id) in e.cur; a switch yields to Run's driver, which resumes the
+// new minimum thread.
 func (e *DetEnv) schedPoint(t int) {
 	if !e.running || t >= e.n {
 		return
 	}
 	if e.exp != nil {
 		e.explorePoint(t)
+	}
+	me := detEnt{e.key(t), int32(t)}
+	if ents := e.sched.ents; len(ents) == 0 || me.less(ents[0]) {
+		e.cur = me // still the minimum: keep running
 		return
-	}
-	ents := e.sched.ents
-	if len(ents) == 0 {
-		return // only runnable thread
-	}
-	m := ents[0]
-	if ct := e.clocks[t]; ct < m.key || (ct == m.key && t < int(m.id)) {
-		return // still the minimum: keep running
 	}
 	e.switchTo(t)
 }
@@ -334,7 +366,7 @@ func (e *DetEnv) key(t int) int64 {
 }
 
 // switchTo re-enters the scheduler from thread t. If the next thread due to
-// run is t itself (possible when the threads ahead of it are all passive
+// run is t itself (possible when the threads ahead of it are passive
 // waiters whose steps dispatch executes inline), t simply keeps the CPU;
 // otherwise t records the next thread in handoff and yields to Run's
 // driver, staying suspended until it is scheduled again — or, if t is a
@@ -357,75 +389,108 @@ func (e *DetEnv) switchTo(t int) {
 // spin-loop steps inline on the calling coroutine along the way. Returns -1
 // when no runnable thread remains.
 //
-// A passive top is not re-heaped after every step. dispatch first finds
-// bound, the least entry that is active or whose predicate already holds
-// in memory (mayWake), and steps the top in a tight loop until its key
-// passes bound, then sifts it down once. Every entry below bound is a
-// passive waiter whose predicate is false; its steps touch only its own
-// clock, cache, jitter state and counters, and nothing writes memory until
-// bound runs. So stepping each of them straight up to bound leaves every
-// thread in exactly the state the one-step-per-heap-visit order reaches
-// when bound becomes the minimum. A top that is itself bound takes a single
-// step, as that order does, and bound is found again. With no bound at all
-// (every runnable thread waits on a false predicate) the top also takes
-// single steps, and none can appear until something writes.
+// A passive top takes one step. If the step did not complete its wait, the
+// waiter is sifted back down when its predicate already holds in memory
+// (mayWake: a later step may complete it), and parked otherwise.
 func (e *DetEnv) dispatch() int32 {
 	h := &e.sched
-	bound, ok, stale := detEnt{}, false, true
 	for len(h.ents) > 0 {
 		top := &h.ents[0]
 		t := int(top.id)
-		w := &e.waits[t]
-		if !w.passive {
-			return h.pop()
-		}
-		if stale {
-			bound, ok = e.wakeBound()
-			stale = false
-		}
-		if ok && top.less(bound) {
-			for top.less(bound) {
-				if e.stepWait(t, w) {
-					// Unreachable: mayWake was false for this waiter and
-					// nothing has written since. A panic here would strand
-					// the calling coroutine's thread, so record the broken
-					// invariant for Run to re-raise and let the waiter run.
-					if e.panicV == nil {
-						e.panicV = fmt.Sprintf("memsim: thread %d's wait ended below the next possible writer", t)
-					}
-					w.passive = false
-					return h.pop()
+		if w := &e.waits[t]; w.passive {
+			if !e.stepWait(t, w) {
+				if e.mayWake(w) {
+					top.key = e.key(t)
+					h.siftDown(0)
+				} else {
+					h.pop()
+					e.park(t, w)
 				}
-				top.key = e.key(t)
+				continue
 			}
-		} else {
-			if e.stepWait(t, w) {
-				// The wait completed without a charge, so the thread is
-				// still the minimum: schedule it now.
-				w.passive = false
-				return h.pop()
-			}
-			top.key = e.key(t)
-			stale = ok // the step moved bound itself; no bound stays none
+			// The wait completed without a charge, so the thread is still
+			// the minimum: schedule it now.
+			w.passive = false
 		}
-		h.siftDown(0)
+		e.cur = *top
+		return h.pop()
+	}
+	if len(e.parked) > 0 {
+		e.deadlock()
 	}
 	return -1
 }
 
-// wakeBound returns the least heap entry that is active or whose wait
-// predicate already holds in memory, and false if there is none.
-func (e *DetEnv) wakeBound() (detEnt, bool) {
-	bound, ok := detEnt{}, false
-	for _, c := range e.sched.ents {
-		if ok && !c.less(bound) {
+// park takes passive waiter t, whose predicate is false in memory, out of
+// the heap and marks the lines it watches. Its steps read nothing that
+// changes before one of those lines is written, and writes happen only on
+// the running thread, whose (key, id) is below every runnable thread's.
+// So the steps the heap would have taken one by one, each time t was the
+// minimum, can be taken all at once by wake, just before that write.
+func (e *DetEnv) park(t int, w *detWait) {
+	e.parked = append(e.parked, int32(t))
+	e.markWatched(w, true)
+}
+
+// markWatched sets or clears the watched bits of the lines w watches.
+func (e *DetEnv) markWatched(w *detWait, on bool) {
+	e.page(uint32(w.addr)).setWatched(LineOf(w.addr)%pageLines, on)
+	if w.kind == waitUntilEitherEq {
+		e.page(uint32(w.addr2)).setWatched(LineOf(w.addr2)%pageLines, on)
+	}
+}
+
+// watches reports whether w reads line.
+func (w *detWait) watches(line uint32) bool {
+	return LineOf(w.addr) == line || (w.kind == waitUntilEitherEq && LineOf(w.addr2) == line)
+}
+
+// wake is called by the running thread just before it changes the word,
+// metadata or last writer of a watched line. Every parked waiter on the
+// line is caught up to the running thread's passed key and returned to the
+// heap, in exactly the state the one-step-per-heap-visit schedule would
+// have it in at this write.
+func (e *DetEnv) wake(p *detPage, line uint32) {
+	p.setWatched(line%pageLines, false)
+	kept := e.parked[:0]
+	for _, id := range e.parked {
+		w := &e.waits[id]
+		if !w.watches(line) {
+			kept = append(kept, id)
 			continue
 		}
-		if w := &e.waits[c.id]; !w.passive || e.mayWake(w) {
-			bound, ok = c, true
+		e.catchUp(int(id), w)
+		e.sched.push(detEnt{e.key(int(id)), id})
+	}
+	e.parked = kept
+}
+
+// catchUp steps parked waiter t for as long as it is below e.cur, as the
+// heap would have while the running thread was still ahead of it. No step
+// can complete the wait: its predicate is false in memory, and nothing it
+// reads has been written since it parked.
+func (e *DetEnv) catchUp(t int, w *detWait) {
+	for (detEnt{e.key(t), int32(t)}).less(e.cur) {
+		e.stepWait(t, w)
+	}
+}
+
+// deadlock records, for Run to re-raise, that no thread is runnable while
+// some are parked: each waits on memory that no thread is left to write.
+func (e *DetEnv) deadlock() {
+	if e.panicV != nil {
+		return // a body's panic is the likelier cause; Run re-raises it
+	}
+	waits := make([]string, len(e.parked))
+	for i, id := range e.parked {
+		w := &e.waits[id]
+		waits[i] = fmt.Sprintf("thread %d waits for word %d == %d", id, w.addr, w.want)
+		if w.kind == waitUntilEitherEq {
+			waits[i] += fmt.Sprintf(" or word %d == %d", w.addr2, w.want2)
 		}
 	}
-	return bound, ok
+	e.panicV = "memsim: deadlock: no runnable thread is left to write what the parked threads wait for: " +
+		strings.Join(waits, "; ")
 }
 
 // mayWake reports whether passive wait w's predicate holds in memory now,
@@ -579,6 +644,9 @@ func (e *DetEnv) CASMeta(line uint32, old, new uint64) bool {
 	if p.metas[i] != old {
 		return false
 	}
+	if p.isWatched(i) {
+		e.wake(p, line)
+	}
 	p.metas[i] = new
 	return true
 }
@@ -588,6 +656,9 @@ func (e *DetEnv) CASMeta(line uint32, old, new uint64) bool {
 // the line's last writer for the coherence model.
 func (e *DetEnv) StoreMeta(t int, line uint32, m uint64) {
 	p := e.page(line << LineShift)
+	if p.isWatched(line % pageLines) {
+		e.wake(p, line)
+	}
 	p.metas[line%pageLines] = m
 	if !MetaLocked(m) && t >= 0 && t < len(e.caches) {
 		p.lastW[line%pageLines] = int32(t)
@@ -602,7 +673,11 @@ func (e *DetEnv) LoadWord(a Addr) uint64 {
 
 // StoreWord writes a word without cost accounting.
 func (e *DetEnv) StoreWord(a Addr, v uint64) {
-	e.page(uint32(a)).words[uint32(a)%pageWords] = v
+	p := e.page(uint32(a))
+	if p.isWatched(LineOf(a) % pageLines) {
+		e.wake(p, LineOf(a))
+	}
+	p.words[uint32(a)%pageWords] = v
 }
 
 // LastWriter returns the last thread to commit a write to line, or -1.
@@ -656,6 +731,9 @@ func (e *DetEnv) accessBook(t int, line uint32, write bool) {
 		e.caches[t].fill(line, ver)
 	}
 	if write {
+		if p.isWatched(li) {
+			e.wake(p, line)
+		}
 		p.lastW[li] = int32(t)
 	}
 	e.charge(t, cost)
@@ -743,9 +821,10 @@ func (e *DetEnv) ResetStats() {
 func (e *DetEnv) Cost() CostParams { return e.cost }
 
 // detHeap is a binary min-heap of runnable threads ordered by (key, id),
-// where key is the thread's virtual clock plus its exploration boost. Keys
-// are stored inline: they change only for the running thread, which is not
-// in the heap, and for a passive waiter dispatch steps at the top, which
+// where key is the thread's virtual clock plus its exploration boost.
+// Parked waiters are not in it. Keys are stored inline: they change only
+// for the running thread and for parked waiters, neither of which is in
+// the heap, and for a passive waiter dispatch steps at the top, which
 // rewrites ents[0].key before sifting it down. The heap is hand-rolled
 // (rather than container/heap) so the per-access peek/push/pop path has no
 // interface conversions and no allocations. The (key, id) order is a strict

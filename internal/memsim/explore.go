@@ -118,16 +118,24 @@ func (e *DetEnv) resetExplore() {
 	}
 }
 
-// explorePoint is the scheduling point of an exploring environment. It
-// replaces DetEnv.schedPoint's fast path for the current thread t: one
-// generator step decides whether to inject a forced preemption (budget
-// permitting), then the usual minimum test runs over boosted clocks.
+// explorePoint runs at every scheduling point of an exploring environment,
+// before DetEnv.schedPoint's minimum test over boosted clocks: one
+// generator step decides whether to inject a forced preemption into the
+// current thread t (budget permitting).
 func (e *DetEnv) explorePoint(t int) {
 	x := e.exp
 	// One draw per scheduling point keeps the decision stream a pure
 	// function of the (deterministic) event stream.
 	d := x.draw()
 	if x.budget > 0 && d&1023 < 16 { // ~1.6% of scheduling points
+		// The redraw can lower t's key. The heap would already have stepped
+		// every waiter past t's last passed key (e.cur, not the key after
+		// the charge that led here), so the parked ones are caught up to it
+		// first: after the redraw, a write by t would catch them up only to
+		// the lower key.
+		for _, id := range e.parked {
+			e.catchUp(int(id), &e.waits[id])
+		}
 		// Redraw the running thread's priority with an extra span of
 		// penalty: mid-window, this usually makes t non-minimal and forces
 		// the switch the fair schedule would never take here.
@@ -135,13 +143,4 @@ func (e *DetEnv) explorePoint(t int) {
 		x.budget--
 		x.injected++
 	}
-	ents := e.sched.ents
-	if len(ents) == 0 {
-		return // only runnable thread
-	}
-	m := ents[0]
-	if ct := e.clocks[t] + e.boost[t]; ct < m.key || (ct == m.key && t < int(m.id)) {
-		return
-	}
-	e.switchTo(t)
 }

@@ -12,8 +12,9 @@ import "testing"
 //     nearly every scheduling point switches threads and ns/handoff is
 //     close to the bare switch cost.
 //   - convoy: 36 threads wait with SpinLoadUntilEq; every store wakes the
-//     next thread, and the 34 passive waiters are stepped inline between
-//     handoffs.
+//     next thread. The other waiters park on the flag's line between
+//     stores, and each store catches all of them up, so they are stepped
+//     inline and re-parked once per handoff.
 func BenchmarkDetHandoff(b *testing.B) {
 	cases := []struct {
 		name    string

@@ -400,6 +400,60 @@ func TestDetEnvRunGoexitUnwinds(t *testing.T) {
 	e.Run(func(th *Thread) { th.Yield() }) // Run is usable again
 }
 
+// TestRunDeadlockPanics checks that Run panics, naming each waiting thread
+// and the words it waits on, once every remaining thread waits on memory
+// no thread is left to write, and that the environment runs again
+// afterwards with no line left marked as watched.
+func TestRunDeadlockPanics(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewDet(DetConfig{Threads: 3})
+	flag, other := e.Alloc(1), e.Alloc(1)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run(func(th *Thread) {
+			switch th.ID() {
+			case 0:
+				th.SpinLoadUntilEq(flag, 1)
+			case 1:
+				th.SpinUntilEitherEq(flag, 2, other, 3)
+			default:
+				th.Work(1000) // finishes without writing either word
+			}
+		})
+	}()
+	msg, _ := got.(string)
+	for _, want := range []string{
+		"deadlock",
+		fmt.Sprintf("thread 0 waits for word %d == 1", flag),
+		fmt.Sprintf("thread 1 waits for word %d == 2 or word %d == 3", flag, other),
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("Run panicked with %v, want a message containing %q", got, want)
+		}
+	}
+	checkNoGoroutineLeak(t, before)
+	for i, p := range e.pages {
+		if p.watched != ([pageLines / 64]uint64{}) {
+			t.Errorf("page %d still has watched lines after the deadlock", i)
+		}
+	}
+	woke := false
+	e.Run(func(th *Thread) {
+		switch th.ID() {
+		case 0:
+			th.SpinLoadUntilEq(other, 1)
+			woke = true
+		case 1:
+			th.Work(1000)
+			th.Store(other, 1)
+		}
+	})
+	if !woke {
+		t.Error("a waiter did not wake after the deadlocked run")
+	}
+}
+
 // checkNoGoroutineLeak fails if more goroutines are running than before.
 func checkNoGoroutineLeak(t *testing.T, before int) {
 	t.Helper()

@@ -90,6 +90,7 @@ var (
 	_ engine.Engine          = (*Sharded)(nil)
 	_ engine.WitnessedEngine = (*Sharded)(nil)
 	_ engine.MeteredEngine   = (*Sharded)(nil)
+	_ engine.TracedEngine    = (*Sharded)(nil)
 )
 
 // newShards provisions n per-shard frameworks and the cross-path
@@ -210,6 +211,44 @@ func (s *Sharded) SetWitness(fn engine.WitnessFunc) {
 	for _, fw := range s.shards {
 		fw.SetWitness(fn)
 	}
+}
+
+// SetTracer installs a lifecycle tracer on every shard (nil disables).
+// Cross-shard operations run under every shard lock, outside the
+// frameworks, and emit no events.
+func (s *Sharded) SetTracer(tr engine.Tracer) {
+	for i, fw := range s.shards {
+		if tr == nil {
+			fw.SetTracer(nil)
+			continue
+		}
+		fw.SetTracer(shardTracer{tr, uint64(i), uint64(len(s.shards))})
+	}
+}
+
+// shardTracer forwards one shard's events with their span ids made unique
+// across shards. Each framework numbers a thread's operations 1, 2, ... on
+// its own; shard i of n renumbers its k-th to (k-1)*n + i + 1, so span ids
+// still name their thread (engine.SpanThread) but are no longer dense per
+// thread.
+type shardTracer struct {
+	tr       engine.Tracer
+	shard, n uint64
+}
+
+// Trace implements engine.Tracer.
+func (st shardTracer) Trace(ev engine.TraceEvent) {
+	ev.Span = st.renumber(ev.Span)
+	ev.PeerSpan = st.renumber(ev.PeerSpan) // help edges stay within the shard
+	st.tr.Trace(ev)
+}
+
+func (st shardTracer) renumber(span uint64) uint64 {
+	if span == 0 {
+		return 0 // no span
+	}
+	seq := span & (1<<32 - 1)
+	return engine.SpanID(engine.SpanThread(span), (seq-1)*st.n+st.shard+1)
 }
 
 // SetRecorder installs a latency/counter recorder on every shard and on

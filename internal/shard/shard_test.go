@@ -262,3 +262,41 @@ func TestSingleShardMatchesFramework(t *testing.T) {
 		t.Errorf("metrics differ:\nframework %+v\n1-shard   %+v", fwM, shM)
 	}
 }
+
+// spanLog is a tracer that keeps every event.
+type spanLog []engine.TraceEvent
+
+func (l *spanLog) Trace(ev engine.TraceEvent) { *l = append(*l, ev) }
+
+// TestTracerSpansUniqueAcrossShards checks that SetTracer reaches every
+// shard, that each shard-local operation starts exactly one span whose id
+// names its thread, and that cross-shard operations emit nothing.
+func TestTracerSpansUniqueAcrossShards(t *testing.T) {
+	env := memsim.NewDet(memsim.DetConfig{Threads: 6})
+	s, tables := buildSharded(t, env, 3)
+	var log spanLog
+	s.SetTracer(&log)
+	n := runMixed(env, s, tables, 50)
+	starts := map[uint64]bool{}
+	for _, ev := range log {
+		if engine.SpanThread(ev.Span) != ev.Thread {
+			t.Fatalf("event %+v: span names thread %d", ev, engine.SpanThread(ev.Span))
+		}
+		if ev.Kind != engine.TraceStart {
+			continue
+		}
+		if starts[ev.Span] {
+			t.Fatalf("span %x started twice", ev.Span)
+		}
+		starts[ev.Span] = true
+	}
+	if want := uint64(n) - s.CrossOps(); uint64(len(starts)) != want {
+		t.Errorf("%d spans started, want one per shard-local operation (%d)", len(starts), want)
+	}
+	s.SetTracer(nil)
+	before := len(log)
+	runMixed(env, s, tables, 5)
+	if len(log) != before {
+		t.Errorf("%d events after SetTracer(nil)", len(log)-before)
+	}
+}

@@ -46,13 +46,21 @@ type Zipf struct {
 
 var _ KeyGen = (*Zipf)(nil)
 
+// CheckTheta reports a Zipf skew outside [0, 1) as an error.
+func CheckTheta(theta float64) error {
+	if theta < 0 || theta >= 1 {
+		return fmt.Errorf("workload: zipf theta %v outside [0,1)", theta)
+	}
+	return nil
+}
+
 // NewZipf builds a generator over [0, n) with skew theta in [0, 1).
 func NewZipf(n uint64, theta float64) (*Zipf, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("workload: zipf needs a nonempty range")
 	}
-	if theta < 0 || theta >= 1 {
-		return nil, fmt.Errorf("workload: zipf theta %v outside [0,1)", theta)
+	if err := CheckTheta(theta); err != nil {
+		return nil, err
 	}
 	z := &Zipf{n: n, theta: theta}
 	z.zetan = zeta(n, theta)
@@ -112,8 +120,8 @@ func NewShardSkew(inner KeyGen, shards, hot, hotPct int) (*ShardSkew, error) {
 	if hot < 0 || hot >= shards {
 		return nil, fmt.Errorf("workload: hot shard %d outside [0,%d)", hot, shards)
 	}
-	if hotPct < 0 || hotPct > 100 {
-		return nil, fmt.Errorf("workload: hot percentage %d outside [0,100]", hotPct)
+	if err := CheckPercent("hot", hotPct); err != nil {
+		return nil, err
 	}
 	if inner.Range() < uint64(shards) {
 		return nil, fmt.Errorf("workload: key range %d smaller than %d shards", inner.Range(), shards)
@@ -173,12 +181,21 @@ func (m *Mix) Pick(r *rand.Rand) int {
 	return len(m.cum) - 1
 }
 
+// CheckPercent reports a percentage parameter outside [0,100] as an
+// error naming what it is the percentage of.
+func CheckPercent(what string, pct int) error {
+	if pct < 0 || pct > 100 {
+		return fmt.Errorf("workload: %s percentage %d outside [0,100]", what, pct)
+	}
+	return nil
+}
+
 // UpdateMix is the paper's standard mix shape: findPct% Finds with the
 // remainder split evenly between Inserts and Removes (kind indices: 0 find,
 // 1 insert, 2 remove).
 func UpdateMix(findPct int) (*Mix, error) {
-	if findPct < 0 || findPct > 100 {
-		return nil, fmt.Errorf("workload: find percentage %d outside [0,100]", findPct)
+	if err := CheckPercent("find", findPct); err != nil {
+		return nil, err
 	}
 	rest := 100 - findPct
 	ins := rest / 2
@@ -321,8 +338,8 @@ type Owner func(key uint64) int
 // [0, inner.Range()), capped at the first 2^20 keys). targets[i] < 0
 // leaves segment i unskewed.
 func NewRingSkew(inner KeyGen, owner Owner, sched *Schedule, targets []int, hotPct int) (*RingSkew, error) {
-	if hotPct < 0 || hotPct > 100 {
-		return nil, fmt.Errorf("workload: hot percentage %d outside [0,100]", hotPct)
+	if err := CheckPercent("hot", hotPct); err != nil {
+		return nil, err
 	}
 	if len(targets) != sched.Segments() {
 		return nil, fmt.Errorf("workload: ring skew got %d targets for %d segments", len(targets), sched.Segments())
